@@ -7,6 +7,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ntt/ntt_gpu.h"
@@ -14,11 +15,22 @@
 
 namespace bench {
 
+/// Which way a metric improves.  compare_baseline.py gates each baseline
+/// entry on its declared direction; the metric's name never decides it.
+enum class Better { Lower, Higher };
+
 /// One deterministic simulated metric destined for the CI baseline diff.
+/// The constructor makes the direction a required argument.
 struct JsonMetric {
+    JsonMetric(std::string name_, double value_, const char *unit_,
+               Better better_)
+        : name(std::move(name_)), value(value_), unit(unit_),
+          better(better_) {}
+
     std::string name;
-    double value = 0.0;       ///< ms for *_ms entries, ratio for *_speedup
-    const char *unit = "ms";
+    double value;      ///< ms for *_ms entries, ratio for *_speedup
+    const char *unit;
+    Better better;
 };
 
 /// google-benchmark-style JSON so the CI artifact and the baseline diff
@@ -41,7 +53,9 @@ inline bool write_json(const std::string &path,
         out << "    {\"name\": \"" << m.name << "\", "
             << "\"run_type\": \"iteration\", "
             << "\"real_time\": " << m.value << ", "
-            << "\"time_unit\": \"" << m.unit << "\"}"
+            << "\"time_unit\": \"" << m.unit << "\", "
+            << "\"direction\": \""
+            << (m.better == Better::Higher ? "higher" : "lower") << "\"}"
             << (i + 1 < metrics.size() ? ",\n" : "\n");
     }
     out << "  ]\n}\n";

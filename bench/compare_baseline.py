@@ -5,9 +5,11 @@ Usage: compare_baseline.py BASELINE.json CURRENT.json [--tolerance 0.25]
 
 Both files use the google-benchmark JSON layout ({"benchmarks": [{"name",
 "real_time", ...}]}).  Every entry in the baseline must exist in the
-current run.  Entries whose name ends in "_speedup" are
-higher-is-better (regression = current below baseline / (1 + tol));
-everything else is a time (regression = current above baseline * (1 + tol)).
+current run, and every baseline entry must declare its "direction":
+"higher" (higher is better: regression = current below
+baseline / (1 + tol)) or "lower" (lower is better: regression = current
+above baseline * (1 + tol)).  The metric's name never decides its
+direction; a baseline entry without a valid direction is an error.
 
 The baseline holds only the *deterministic simulated* metrics emitted by
 the fig_* --json benches — wall-clock microbenchmark numbers vary too
@@ -26,13 +28,33 @@ import json
 import sys
 
 
-def load_metrics(path):
+DIRECTIONS = ("higher", "lower")
+
+
+def load_entries(path):
     with open(path) as f:
         data = json.load(f)
     benchmarks = data.get("benchmarks")
     if not isinstance(benchmarks, list) or not benchmarks:
         raise SystemExit(f"error: {path} has no benchmark entries")
-    return {b["name"]: float(b["real_time"]) for b in benchmarks}
+    return benchmarks
+
+
+def load_metrics(path):
+    return {b["name"]: float(b["real_time"]) for b in load_entries(path)}
+
+
+def load_directions(path):
+    """name -> "higher" | "lower"; a missing or unknown direction is fatal."""
+    directions = {}
+    for b in load_entries(path):
+        direction = b.get("direction")
+        if direction not in DIRECTIONS:
+            raise SystemExit(
+                f"error: {path}: {b['name']} has direction {direction!r}; "
+                f"expected one of {', '.join(DIRECTIONS)}")
+        directions[b["name"]] = direction
+    return directions
 
 
 def main():
@@ -44,6 +66,7 @@ def main():
     args = parser.parse_args()
 
     baseline = load_metrics(args.baseline)
+    directions = load_directions(args.baseline)
     current = load_metrics(args.current)
 
     failures = []
@@ -55,8 +78,7 @@ def main():
             print(f"{name:<44}{base:>12.3f}{'MISSING':>12}")
             continue
         cur = current[name]
-        higher_is_better = name.endswith("_speedup")
-        if higher_is_better:
+        if directions[name] == "higher":
             # cur == 0 on a higher-is-better metric is a total collapse.
             ratio = base / cur if cur else float("inf")
         else:

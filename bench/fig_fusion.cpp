@@ -65,11 +65,12 @@ int main(int argc, char **argv) {
                         submissions[1]);
             const std::string prefix =
                 "fusion/" + spec.name + "/" + name + "/";
-            metrics.push_back({prefix + "unfused_ms", total_ms[0], "ms"});
-            metrics.push_back({prefix + "fused_ms", total_ms[1], "ms"});
-            // The "_speedup" suffix is compare_baseline.py's
-            // higher-is-better marker.
-            metrics.push_back({prefix + "fused_speedup", speedup, "x"});
+            metrics.push_back(
+                {prefix + "unfused_ms", total_ms[0], "ms", Better::Lower});
+            metrics.push_back(
+                {prefix + "fused_ms", total_ms[1], "ms", Better::Lower});
+            metrics.push_back(
+                {prefix + "fused_speedup", speedup, "x", Better::Higher});
         }
         std::printf("\nbest fused-vs-unfused speedup on %s: %.2fx\n",
                     spec.name.c_str(), best);

@@ -108,9 +108,10 @@ int main(int argc, char **argv) {
                     stats.throughput_rps, stats.keys.hits, stats.keys.misses,
                     stats.keys.evictions);
         const std::string prefix = std::string("multitenant/") + tag;
-        metrics.push_back({prefix + "/p99_ms", stats.p99_ms, "ms"});
         metrics.push_back(
-            {prefix + "/throughput_rps", stats.throughput_rps, "rps"});
+            {prefix + "/p99_ms", stats.p99_ms, "ms", Better::Lower});
+        metrics.push_back({prefix + "/throughput_rps", stats.throughput_rps,
+                           "rps", Better::Higher});
     };
 
     bool ok = true;
@@ -138,7 +139,8 @@ int main(int argc, char **argv) {
     }
     const double scaling = shard_throughput[1] / shard_throughput[0];
     std::printf("\n2-shard throughput scaling: %.2fx\n", scaling);
-    metrics.push_back({"multitenant/shard2_speedup", scaling, "x"});
+    metrics.push_back(
+        {"multitenant/shard2_speedup", scaling, "x", Better::Higher});
     if (scaling < 1.5) {
         std::fprintf(stderr, "error: 2-shard scaling %.2fx < 1.5x\n",
                      scaling);
@@ -158,7 +160,7 @@ int main(int argc, char **argv) {
         metrics.push_back(
             {"multitenant/budget" + std::to_string(budget) + "/hit_rate",
              total > 0.0 ? static_cast<double>(stats.keys.hits) / total : 0.0,
-             "ratio"});
+             "ratio", Better::Higher});
         if (stats.keys.peak_resident_bytes > stats.keys.budget_bytes) {
             std::fprintf(stderr,
                          "error: resident keys %zu exceed budget %zu\n",
@@ -174,7 +176,8 @@ int main(int argc, char **argv) {
     }
     const double tail_ratio = p99_tight / p99_all;
     std::printf("tight-budget p99 inflation: %.2fx\n", tail_ratio);
-    metrics.push_back({"multitenant/tight_budget_p99_ratio", tail_ratio, "x"});
+    metrics.push_back(
+        {"multitenant/tight_budget_p99_ratio", tail_ratio, "x", Better::Lower});
     if (tail_ratio > 3.0) {
         std::fprintf(stderr, "error: tight-budget p99 %.2fx > 3x\n",
                      tail_ratio);
@@ -201,7 +204,8 @@ int main(int argc, char **argv) {
         std::printf("overload burst: %zu admitted, %zu rejected typed\n",
                     admitted, stats.overloaded);
         metrics.push_back({"multitenant/overload_rejected",
-                           static_cast<double>(stats.overloaded), "count"});
+                           static_cast<double>(stats.overloaded), "count",
+                           Better::Lower});
         if (stats.overloaded == 0 ||
             stats.overloaded + admitted != 64) {
             std::fprintf(stderr, "error: overload burst not rejected "

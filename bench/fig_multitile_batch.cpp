@@ -64,18 +64,18 @@ int main(int argc, char **argv) {
                     100.0 * r.parallel_efficiency());
         metrics.push_back({"batch_serving/q" + std::to_string(r.queues) +
                                "/makespan_ms",
-                           r.makespan_ms, "ms"});
+                           r.makespan_ms, "ms", Better::Lower});
         metrics.push_back({"batch_serving/q" + std::to_string(r.queues) +
                                "/kernel_ms",
-                           r.kernel_ms, "ms"});
+                           r.kernel_ms, "ms", Better::Lower});
     }
     const double serving_speedup =
         reports[0].makespan_ms / reports[1].makespan_ms;
     std::printf("\nmulti-tile serving speedup: %.2fx "
                 "(aggregate kernel time invariant: %.3f vs %.3f ms)\n",
                 serving_speedup, reports[0].kernel_ms, reports[1].kernel_ms);
-    metrics.push_back(
-        {"batch_serving/multitile_speedup", serving_speedup, "x"});
+    metrics.push_back({"batch_serving/multitile_speedup", serving_speedup,
+                       "x", Better::Higher});
 
     // --- per-routine single-session profile (regression anchors) --------
     {
@@ -85,7 +85,7 @@ int main(int argc, char **argv) {
             metrics.push_back({std::string("routine/") +
                                    xehe::core::routine_name(routine) +
                                    "/total_ms",
-                               p.total_ms(), "ms"});
+                               p.total_ms(), "ms", Better::Lower});
         }
     }
 
@@ -106,11 +106,12 @@ int main(int argc, char **argv) {
                     report.sim_busy_ms);
         metrics.push_back({"matmul/q" + std::to_string(report.queues) +
                                "/total_ms",
-                           report.sim_total_ms, "ms"});
+                           report.sim_total_ms, "ms", Better::Lower});
     }
     const double matmul_speedup = matmul_ms[0] / matmul_ms[1];
     std::printf("\nmulti-tile matmul speedup: %.2fx\n", matmul_speedup);
-    metrics.push_back({"matmul/multitile_speedup", matmul_speedup, "x"});
+    metrics.push_back(
+        {"matmul/multitile_speedup", matmul_speedup, "x", Better::Higher});
 
     if (!json_path.empty()) {
         if (!bench::write_json(json_path, metrics, "fig_multitile_batch",

@@ -182,13 +182,16 @@ int main(int argc, char **argv) {
                     "redundant", before.nodes, after.nodes,
                     before.levels_consumed, after.levels_consumed, raw_ms,
                     opt_ms, speedup);
-        metrics.push_back({"program_compile/redundant/raw_ms", raw_ms, "ms"});
-        metrics.push_back({"program_compile/redundant/opt_ms", opt_ms, "ms"});
+        metrics.push_back(
+            {"program_compile/redundant/raw_ms", raw_ms, "ms", Better::Lower});
+        metrics.push_back(
+            {"program_compile/redundant/opt_ms", opt_ms, "ms", Better::Lower});
         metrics.push_back({"program_compile/redundant/time_speedup", speedup,
-                           "x"});
+                           "x", Better::Higher});
         metrics.push_back(
             {"program_compile/redundant/levels_consumed",
-             static_cast<double>(after.levels_consumed), "levels"});
+             static_cast<double>(after.levels_consumed), "levels",
+             Better::Lower});
         if (after.levels_consumed >= before.levels_consumed) {
             std::fprintf(stderr,
                          "gate: redundancy suite must consume strictly "
@@ -211,10 +214,12 @@ int main(int argc, char **argv) {
         std::printf("%-18s%8zu%8zu%10zu%10zu%10.3f%10.3f%9.2fx\n", "deep",
                     before.nodes, after.nodes, before.levels_consumed,
                     after.levels_consumed, raw_ms, opt_ms, speedup);
-        metrics.push_back({"program_compile/deep/raw_ms", raw_ms, "ms"});
-        metrics.push_back({"program_compile/deep/opt_ms", opt_ms, "ms"});
+        metrics.push_back(
+            {"program_compile/deep/raw_ms", raw_ms, "ms", Better::Lower});
+        metrics.push_back(
+            {"program_compile/deep/opt_ms", opt_ms, "ms", Better::Lower});
         metrics.push_back({"program_compile/deep/time_speedup", speedup,
-                           "x"});
+                           "x", Better::Higher});
         if (speedup < 1.1) {
             std::fprintf(stderr,
                          "gate: deep suite speedup %.3fx below 1.1x\n",
@@ -238,7 +243,7 @@ int main(int argc, char **argv) {
                     opt_ms, ratio);
         metrics.push_back({std::string("program_compile/routine/") +
                                core::routine_name(r) + "_speedup",
-                           ratio, "x"});
+                           ratio, "x", Better::Higher});
         if (ratio < 0.995) {
             std::fprintf(stderr,
                          "gate: routine %s regressed to %.3fx under "
@@ -362,11 +367,13 @@ int main(int argc, char **argv) {
                     analyze_ms, compile_ms, circuits.size(), kIters,
                     kRounds, pct, sink);
         metrics.push_back(
-            {"program_compile/analysis/analyze_ms", analyze_ms, "ms"});
+            {"program_compile/analysis/analyze_ms", analyze_ms, "ms",
+             Better::Lower});
         metrics.push_back(
-            {"program_compile/analysis/compile_ms", compile_ms, "ms"});
+            {"program_compile/analysis/compile_ms", compile_ms, "ms",
+             Better::Lower});
         metrics.push_back(
-            {"program_compile/analysis/overhead_pct", pct, "%"});
+            {"program_compile/analysis/overhead_pct", pct, "%", Better::Lower});
         if (pct >= 5.0) {
             std::fprintf(stderr,
                          "gate: analysis overhead %.2f%% of the "

@@ -120,15 +120,17 @@ int main(int argc, char **argv) {
         throughput[pi] = stats.throughput_rps;
 
         const std::string prefix = std::string("program_serving/") + path;
-        metrics.push_back({prefix + "/p95_ms", stats.p95_ms, "ms"});
+        metrics.push_back(
+            {prefix + "/p95_ms", stats.p95_ms, "ms", Better::Lower});
         metrics.push_back({prefix + "/throughput_rps", stats.throughput_rps,
-                           "rps"});
+                           "rps", Better::Higher});
     }
 
     const double relative = throughput[1] / throughput[0];
     std::printf("\nprogram-path relative throughput: %.3fx (gate >= 0.95x)\n",
                 relative);
-    metrics.push_back({"program_serving/relative_throughput", relative, "x"});
+    metrics.push_back(
+        {"program_serving/relative_throughput", relative, "x", Better::Higher});
 
     if (!json_path.empty()) {
         if (!write_json(json_path, metrics, "fig_program_serving",

@@ -213,14 +213,19 @@ int main(int argc, char **argv) {
             const std::string prefix = "serving/l" + std::to_string(lanes) +
                                        "/b" + std::to_string(batch);
             if (batch == 8) {
-                metrics.push_back({prefix + "/p50_ms", stats.p50_ms, "ms"});
-                metrics.push_back({prefix + "/p95_ms", stats.p95_ms, "ms"});
-                metrics.push_back({prefix + "/p99_ms", stats.p99_ms, "ms"});
+                metrics.push_back(
+                    {prefix + "/p50_ms", stats.p50_ms, "ms", Better::Lower});
+                metrics.push_back(
+                    {prefix + "/p95_ms", stats.p95_ms, "ms", Better::Lower});
+                metrics.push_back(
+                    {prefix + "/p99_ms", stats.p99_ms, "ms", Better::Lower});
                 metrics.push_back({prefix + "/throughput_rps",
-                                   stats.throughput_rps, "rps"});
+                                   stats.throughput_rps, "rps",
+                                   Better::Higher});
                 throughput_b8[li] = stats.throughput_rps;
             } else if (batch == 1 || batch == 4) {
-                metrics.push_back({prefix + "/p95_ms", stats.p95_ms, "ms"});
+                metrics.push_back(
+                    {prefix + "/p95_ms", stats.p95_ms, "ms", Better::Lower});
             }
         }
     }
@@ -228,7 +233,8 @@ int main(int argc, char **argv) {
     const double speedup = throughput_b8[1] / throughput_b8[0];
     std::printf("\nmulti-lane serving throughput speedup (batch 8): %.2fx\n",
                 speedup);
-    metrics.push_back({"serving/multilane_speedup", speedup, "x"});
+    metrics.push_back(
+        {"serving/multilane_speedup", speedup, "x", Better::Higher});
 
     if (!json_path.empty()) {
         if (!write_json(json_path, metrics, "fig_serving_latency",

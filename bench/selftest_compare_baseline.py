@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Self-test of the baseline gate (compare_baseline.py).
+
+Usage: selftest_compare_baseline.py BASELINE.json
+
+Checks, in-process against copies of the real baseline:
+  * the baseline compared with itself passes;
+  * for each direction, every metric of that direction regressed 2x the
+    wrong way at once fails the gate, and improved 2x passes;
+  * each metric with a non-zero baseline, regressed 2x alone in its
+    declared direction, fails the gate;
+  * a baseline entry without a direction (or with an unknown one) fails.
+
+Exits 1 on the first broken expectation.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import sys
+import tempfile
+
+sys.dont_write_bytecode = True  # leave no __pycache__ in the source tree
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+import compare_baseline  # noqa: E402
+
+
+def gate(tmp, baseline, current):
+    """Exit code of compare_baseline.py on the two documents."""
+    paths = []
+    for label, doc in (("baseline", baseline), ("current", current)):
+        path = os.path.join(tmp, f"{label}.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        paths.append(path)
+    sys.argv = ["compare_baseline.py", *paths, "--tolerance", "0.25"]
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return compare_baseline.main()
+    except SystemExit as e:
+        return e.code if isinstance(e.code, int) else 1
+
+
+def scaled(baseline, factor_of):
+    """Copy of `baseline` with each entry's value times factor_of(entry)."""
+    doc = copy.deepcopy(baseline)
+    for b in doc["benchmarks"]:
+        b["real_time"] = b["real_time"] * factor_of(b)
+    return doc
+
+
+def worse(direction):
+    return 0.5 if direction == "higher" else 2.0
+
+
+def main():
+    with open(sys.argv[1]) as f:
+        baseline = json.load(f)
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        if gate(tmp, baseline, baseline) != 0:
+            failures.append("baseline against itself did not pass")
+
+        for direction in compare_baseline.DIRECTIONS:
+            picked = [b for b in baseline["benchmarks"]
+                      if b["direction"] == direction]
+            if not picked:
+                failures.append(f"no baseline metric is {direction}-better")
+                continue
+            regressed = scaled(
+                baseline, lambda b: worse(direction)
+                if b["direction"] == direction else 1.0)
+            if gate(tmp, baseline, regressed) != 1:
+                failures.append(f"{direction}-better metrics regressed 2x "
+                                "passed the gate")
+            improved = scaled(
+                baseline, lambda b: 1.0 / worse(direction)
+                if b["direction"] == direction else 1.0)
+            if gate(tmp, baseline, improved) != 0:
+                failures.append(f"{direction}-better metrics improved 2x "
+                                "failed the gate")
+
+        for entry in baseline["benchmarks"]:
+            if entry["real_time"] == 0:
+                continue  # a zero baseline has no ratio to regress
+            name = entry["name"]
+            regressed = scaled(
+                baseline, lambda b: worse(b["direction"])
+                if b["name"] == name else 1.0)
+            if gate(tmp, baseline, regressed) != 1:
+                failures.append(f"{name} regressed 2x alone passed the gate")
+
+        for bad in (None, "sideways"):
+            broken = copy.deepcopy(baseline)
+            if bad is None:
+                del broken["benchmarks"][0]["direction"]
+            else:
+                broken["benchmarks"][0]["direction"] = bad
+            if gate(tmp, broken, baseline) != 1:
+                failures.append(f"baseline entry with direction {bad!r} "
+                                "was accepted")
+
+    for f in failures:
+        print(f"FAIL: {f}", file=sys.stderr)
+    if failures:
+        return 1
+    print(f"compare_baseline self-test passed "
+          f"({len(baseline['benchmarks'])} baseline metrics)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

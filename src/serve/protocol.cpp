@@ -338,6 +338,58 @@ Request StreamingRequestParser::take() {
     return std::move(request_);
 }
 
+ChunkAssembler::Outcome ChunkAssembler::feed(std::span<const uint8_t> frame) {
+    Outcome out;
+    wire::ChunkView chunk;
+    try {
+        chunk = wire::open_chunk(frame);
+    } catch (const wire::WireError &e) {
+        // The frame's header cannot be trusted, so no stream state can be
+        // charged for it; reject the frame alone.
+        out.error = e.what();
+        return out;
+    }
+
+    auto it = streams_.find(chunk.stream_id);
+    if (it == streams_.end()) {
+        if (streams_.size() >= kMaxStreams) {
+            streams_.erase(std::min_element(
+                streams_.begin(), streams_.end(),
+                [](const auto &a, const auto &b) {
+                    return a.second.last_fed < b.second.last_fed;
+                }));
+            out.evicted = true;
+        }
+        it = streams_.emplace(chunk.stream_id, Stream{}).first;
+        it->second.total = chunk.total_len;
+    }
+    Stream &stream = it->second;
+    stream.last_fed = ++tick_;
+
+    try {
+        check(chunk.seq == stream.next_seq &&
+                  chunk.offset == stream.received &&
+                  chunk.total_len == stream.total,
+              "wire: chunk out of order or inconsistent with stream");
+        const bool complete = stream.parser.feed(chunk.payload);
+        stream.next_seq = chunk.seq + 1;
+        stream.received += chunk.payload.size();
+        if (chunk.last) {
+            check(complete && stream.received == stream.total,
+                  "wire: stream ended before request was complete");
+            out.request = stream.parser.take();
+            streams_.erase(it);
+        } else {
+            check(!complete, "wire: request complete before final chunk");
+        }
+    } catch (const wire::WireError &e) {
+        // Abort the whole stream: partial per-input state is discarded.
+        streams_.erase(it);
+        out.error = e.what();
+    }
+    return out;
+}
+
 Response load_response(std::span<const uint8_t> buffer) {
     return wire::load_enveloped<Response>(buffer);
 }

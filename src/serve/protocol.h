@@ -7,6 +7,9 @@
 // client round trip moves nothing but validated bytes.
 #pragma once
 
+#include <optional>
+#include <unordered_map>
+
 #include "wire/wire.h"
 
 namespace xehe::serve {
@@ -166,6 +169,45 @@ private:
     std::size_t body_remaining_ = 0;  ///< of the operand/program being read
     std::size_t consumed_ = 0;
     Request request_;
+};
+
+/// Reassembles interleaved chunk-frame streams into Requests: one
+/// StreamingRequestParser per open stream, fed only frames that continue
+/// the stream in order and consistently.  The stream table is bounded: a
+/// frame opening a stream at the cap first evicts the least-recently-fed
+/// stream, so a client that opens streams and never finishes them cannot
+/// pin the table and lock new streams out forever.
+class ChunkAssembler {
+public:
+    static constexpr std::size_t kMaxStreams = 256;
+
+    /// What one frame did.  At most one of `request` / `error` is set;
+    /// `evicted` may accompany either (or neither).
+    struct Outcome {
+        /// The frame completed its stream: the assembled request.
+        std::optional<Request> request;
+        /// The frame failed validation (a parse error); its stream, if it
+        /// had one, was aborted and its partial state discarded.
+        std::string error;
+        /// Opening this frame's stream evicted a stale one.
+        bool evicted = false;
+    };
+
+    Outcome feed(std::span<const uint8_t> frame);
+
+    /// Streams with at least one accepted chunk that have not completed.
+    std::size_t open_streams() const noexcept { return streams_.size(); }
+
+private:
+    struct Stream {
+        StreamingRequestParser parser;
+        uint32_t next_seq = 0;
+        uint64_t received = 0;
+        uint64_t total = 0;
+        uint64_t last_fed = 0;  ///< tick_ at the latest frame
+    };
+    std::unordered_map<uint64_t, Stream> streams_;
+    uint64_t tick_ = 0;  ///< monotone frame counter for staleness
 };
 
 }  // namespace xehe::serve

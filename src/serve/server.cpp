@@ -246,63 +246,15 @@ void InferenceServer::submit_chunk(std::span<const uint8_t> frame) {
     if (span.active()) {
         span.set_detail(std::to_string(frame.size()) + " bytes");
     }
-    wire::ChunkView chunk;
-    try {
-        chunk = wire::open_chunk(frame);
-    } catch (const wire::WireError &e) {
-        // The frame's header cannot be trusted, so no stream state can be
-        // charged for it; reject the frame alone.
-        record_failure(0, Status::ParseError, e.what());
-        return;
+    ChunkAssembler::Outcome out = chunks_.feed(frame);
+    if (out.evicted) {
+        record_failure(0, Status::Overloaded,
+                       "serve: evicted stale chunk stream");
     }
-
-    auto it = streams_.find(chunk.stream_id);
-    if (it == streams_.end()) {
-        if (streams_.size() >= kMaxOpenStreams) {
-            // At the cap, evict the least-recently-fed stream: a client
-            // that opens streams and never finishes them must not pin
-            // the stream table and lock new streams out forever.
-            auto stale = streams_.begin();
-            for (auto s = streams_.begin(); s != streams_.end(); ++s) {
-                if (s->second.last_fed < stale->second.last_fed) {
-                    stale = s;
-                }
-            }
-            streams_.erase(stale);
-            record_failure(0, Status::Overloaded,
-                           "serve: evicted stale chunk stream");
-        }
-        it = streams_.emplace(chunk.stream_id, ChunkStream{}).first;
-        it->second.total = chunk.total_len;
-    }
-    ChunkStream &stream = it->second;
-    stream.last_fed = ++stream_tick_;
-
-    try {
-        if (chunk.seq != stream.next_seq || chunk.offset != stream.received ||
-            chunk.total_len != stream.total) {
-            throw wire::WireError(
-                "wire: chunk out of order or inconsistent with stream");
-        }
-        const bool complete = stream.parser.feed(chunk.payload);
-        stream.next_seq = chunk.seq + 1;
-        stream.received += chunk.payload.size();
-        if (chunk.last) {
-            if (!complete || stream.received != stream.total) {
-                throw wire::WireError(
-                    "wire: stream ended before request was complete");
-            }
-            Request request = stream.parser.take();
-            streams_.erase(it);
-            submit(std::move(request));
-        } else if (complete) {
-            throw wire::WireError(
-                "wire: request complete before final chunk");
-        }
-    } catch (const wire::WireError &e) {
-        // Abort the whole stream: partial per-input state is discarded.
-        streams_.erase(chunk.stream_id);
-        record_failure(0, Status::ParseError, e.what());
+    if (!out.error.empty()) {
+        record_failure(0, Status::ParseError, std::move(out.error));
+    } else if (out.request) {
+        submit(std::move(*out.request));
     }
 }
 
@@ -354,16 +306,10 @@ std::vector<Response> InferenceServer::run() {
             responses.push_back(execute(pending_[k], dispatch_time));
             const Response &resp = responses.back();
             if (resp.ok) {
-                latencies_ns_.push_back(resp.latency_ns());
+                completed_.record(resp);
                 ServeMetrics::instance().requests.add();
                 ServeMetrics::instance().latency_ns.observe(
                     resp.latency_ns());
-                last_complete_ns_ =
-                    std::max(last_complete_ns_, resp.complete_ns);
-                if (first_enqueue_ns_ < 0.0 ||
-                    resp.enqueue_ns < first_enqueue_ns_) {
-                    first_enqueue_ns_ = resp.enqueue_ns;
-                }
             } else {
                 ++failed_;
                 ServeMetrics::instance().failed.add();
@@ -534,7 +480,7 @@ Response InferenceServer::execute_routed(const Request &request,
     }
     if (!use_host) {
         try {
-            return execute_gpu(request, dispatch_time);
+            return execute_on(request, dispatch_time, false);
         } catch (const he::BackendUnavailable &) {
             // The registry refused the backend mid-flight (disabled
             // between admission and dispatch): degrade this request.
@@ -547,39 +493,56 @@ Response InferenceServer::execute_routed(const Request &request,
         ++fallbacks_;
         ServeMetrics::instance().fallbacks.add();
     }
-    return execute_host(request, dispatch_time);
+    return execute_on(request, dispatch_time, true);
 }
 
-Response InferenceServer::execute_gpu(const Request &request,
-                                      double dispatch_time) {
+Response InferenceServer::execute_on(const Request &request,
+                                     double dispatch_time, bool on_host) {
+    // The lane is the only per-backend state.  A GPU lane (pool lane,
+    // wrapped through the registry) keeps its simulated clock on the
+    // device queue; a host lane (same session -> lane placement, so one
+    // session's requests stay ordered and batching survives the
+    // fallback) keeps it in host_lane_ns_, advanced by the synthetic
+    // model.  The registry throws the typed BackendUnavailable here,
+    // before any clock or key side effect, if "gpu" has been pulled out
+    // from under the server, so the host retry starts clean.
+    std::size_t lane = 0;
+    he::BackendBundle gpu_bundle;
+    he::GpuBackend *gpu = nullptr;
+    const core::GpuEvaluator *evaluator = nullptr;
+    if (on_host) {
+        lane = request.session_id % host_lane_ns_.size();
+        host_lane_ns_[lane] = std::max(host_lane_ns_[lane], dispatch_time);
+    } else {
+        lane = pool_->lane_of(request.session_id);
+        evaluator = &pool_->evaluator(lane);
+        he::BackendEnv env;
+        env.context = host_;
+        env.gpu_context = &pool_->context(lane);
+        env.gpu_evaluator = evaluator;
+        gpu_bundle = he::BackendRegistry::instance().create("gpu", env);
+        // The built-in "gpu" factory always wraps the lane in a
+        // GpuBackend.
+        gpu = &static_cast<he::GpuBackend &>(gpu_bundle.backend());
+        // Kernels of this request start no earlier than its batch
+        // dispatch; a busy lane pushes the start further (queueing).
+        gpu->gpu().queue().advance_to(dispatch_time);
+    }
+    he::Backend &backend = gpu ? *gpu : host_bundle_.backend();
+    double &host_clock = host_lane_ns_[lane];  // untouched on a GPU lane
+    const auto lane_clock = [&] {
+        return gpu ? gpu->gpu().queue().clock_ns() : host_clock;
+    };
+
     Response resp;
     resp.session_id = request.session_id;
     resp.enqueue_ns = request.arrival_ns;
+    resp.dispatch_ns = lane_clock();
 
-    const std::size_t lane = pool_->lane_of(request.session_id);
-    core::GpuContext &gpu = pool_->context(lane);
-    core::GpuEvaluator &evaluator = pool_->evaluator(lane);
-
-    // Through the registry, wrapping this lane's resources — and throwing
-    // the typed BackendUnavailable (before any clock or key side effect)
-    // if "gpu" has been pulled out from under the server.
-    he::BackendEnv env;
-    env.context = host_;
-    env.gpu_context = &gpu;
-    env.gpu_evaluator = &evaluator;
-    const he::BackendBundle bundle =
-        he::BackendRegistry::instance().create("gpu", env);
-    auto &backend = static_cast<he::GpuBackend &>(bundle.backend());
-
-    // Kernels of this request start no earlier than its batch dispatch;
-    // a busy lane pushes the start further (queueing delay).
-    gpu.queue().advance_to(dispatch_time);
-    resp.dispatch_ns = gpu.queue().clock_ns();
-
-    // Lane-schedule span: dispatch to completion on this lane's queue.
-    // Reserved up front and pushed as context so key acquires, compiles
-    // and kernel launches below parent into it; the outer context (the
-    // request span) is captured first to be this span's parent.
+    // Lane-schedule span: dispatch to completion on this lane.  Reserved
+    // up front and pushed as context so key acquires, compiles and kernel
+    // launches below parent into it; the outer context (the request
+    // span) is captured first to be this span's parent.
     const obs::TraceContext outer_ctx = obs::current_context();
     const uint64_t lane_span =
         obs::tracing_enabled() ? obs::TraceRecorder::instance().next_id()
@@ -590,9 +553,8 @@ Response InferenceServer::execute_gpu(const Request &request,
         // Evaluation keys: the session's own (through the KeyManager's
         // LRU cache) when registered, else the shared tenant keys.  A
         // cache miss re-expands from the seed-compressed cold store and
-        // re-uploads the expanded material to the session's lane — the
-        // simulated transfer charge is what makes eviction pressure
-        // visible in the latency tail.
+        // re-stages the expanded material on the lane — the charge is
+        // what makes eviction pressure visible in the latency tail.
         const ckks::RelinKeys *relin = has_relin_ ? &relin_ : nullptr;
         const ckks::GaloisKeys *galois = has_galois_ ? &galois_ : nullptr;
         std::shared_ptr<const SessionKeys> session_keys;
@@ -602,8 +564,11 @@ Response InferenceServer::execute_gpu(const Request &request,
             session_keys = std::move(acq.keys);
             relin = &session_keys->relin;
             galois = &session_keys->galois;
-            if (acq.miss) {
-                evaluator.charge_key_upload(acq.expanded_bytes);
+            if (acq.miss && gpu) {
+                evaluator->charge_key_upload(acq.expanded_bytes);
+            } else if (acq.miss) {
+                host_clock += kHostKeyLoadNsPerByte *
+                              static_cast<double>(acq.expanded_bytes);
             }
         }
         // Operand level: actual max-level encryptions when functional,
@@ -641,207 +606,55 @@ Response InferenceServer::execute_gpu(const Request &request,
         util::require(request.op != Op::Rotate || galois != nullptr,
                       "galois keys not registered");
 
-        // Operands: deserialize + upload, or fabricate for cost-only.
+        if (!gpu) {
+            // Deterministic host lane-time charge: nodes x per-node cost
+            // x limb count.  Strictly positive, so dispatch < complete
+            // holds for every served request.
+            const double nodes = static_cast<double>(std::max<std::size_t>(
+                is_program ? client_program->nodes.size() : route_cost(request),
+                1));
+            host_clock +=
+                kHostNodeNs * nodes * static_cast<double>(input_level + 1);
+        }
+
+        // Operands: deserialize + upload, or fabricate for cost-only on
+        // a GPU lane.  A host lane has no device to charge, so a
+        // cost-only request there runs no arithmetic: the model's charge
+        // above is its whole cost.
         const std::size_t arity =
             is_program ? client_program->num_inputs : op_arity(request.op);
-        std::vector<core::GpuCiphertext> inputs;
-        inputs.reserve(arity);
-        if (request.cost_only) {
-            for (std::size_t a = 0; a < arity; ++a) {
-                inputs.push_back(fabricate(gpu, 2, input_level, kScale));
-            }
-        } else {
-            util::require(request.inputs.size() == arity,
-                          "input count does not match op");
-            for (const auto &bytes : request.inputs) {
-                inputs.push_back(
-                    core::upload(gpu, wire::load_ciphertext(bytes, *host_)));
-            }
-        }
-
-        he::Cipher result;
-        if (request.op == Op::MatmulTile) {
-            // One output tile of the encrypted matmul: a chain of fused
-            // multiply-accumulates into one accumulator, strictly ordered
-            // on the session's lane (Section IV-E).
-            core::GpuCiphertext acc = core::allocate_ciphertext(
-                gpu, 3, inputs[0].rns, inputs[0].scale * inputs[1].scale);
-            for (uint64_t t = 0; t < request.matmul_tiles; ++t) {
-                evaluator.multiply_acc(inputs[0], inputs[1], acc);
-            }
-            result = backend.adopt(std::move(acc));
-        } else {
-            // Everything else is a program: either the client's circuit
-            // or the canonical program of the named routine — one
-            // execution path for fixed-function and arbitrary requests.
-            he::Program stepped_rotate;
-            const he::Program *program = nullptr;
-            if (is_program) {
-                program = client_program.get();
-            } else if (request.op == Op::Rotate && request.rotate_step != 1) {
-                stepped_rotate = he::rotate_program(request.rotate_step);
-                program = &stepped_rotate;
-            } else {
-                // Fixed-function requests run the same compiled form the
-                // routine harness does (identity for these programs —
-                // they are already minimal — but one code path).
-                const auto routine = static_cast<core::Routine>(request.op);
-                program = config_.compile_programs
-                              ? &core::routine_program_compiled(routine)
-                              : &core::routine_program(routine);
-            }
-            he::ProgramKeys keys;
-            keys.relin = relin;
-            keys.galois = galois;
-            std::vector<he::Cipher> operands;
-            operands.reserve(inputs.size());
-            for (auto &ct : inputs) {
-                operands.push_back(backend.adopt(std::move(ct)));
-            }
-            result = std::move(
-                he::run_program(*program, backend, operands, keys).front());
-        }
-
-        if (config_.functional) {
-            // Download blocks the lane (the Decrypt-side synchronization
-            // of Fig. 2) and the response carries the result bytes.
-            resp.result =
-                wire::serialize(core::download(gpu, backend.native(result)));
-        } else {
-            gpu.queue().transfer(backend.native(result).all().size() *
-                                 sizeof(uint64_t));
-        }
-        resp.ok = true;
-        resp.code = Status::Ok;
-    } catch (const he::ProgramRejected &e) {
-        resp.ok = false;
-        resp.code = Status::InvalidProgram;
-        resp.error = e.what();
-    } catch (const std::exception &e) {
-        resp.ok = false;
-        resp.code = Status::ExecError;
-        resp.error = e.what();
-    }
-    resp.complete_ns = gpu.queue().clock_ns();
-    if (lane_span != 0) {
-        obs::SpanRecord span;
-        span.id = lane_span;
-        span.parent = outer_ctx.span;
-        span.clock = obs::Clock::Sim;
-        span.category = obs::Category::Schedule;
-        span.name = "serve.lane";
-        span.detail = "lane=" + std::to_string(lane);
-        span.start_ns = resp.dispatch_ns;
-        span.end_ns = resp.complete_ns;
-        span.track = gpu.queue().obs_track();
-        obs::TraceRecorder::instance().record(std::move(span));
-    }
-    return resp;
-}
-
-Response InferenceServer::execute_host(const Request &request,
-                                       double dispatch_time) {
-    Response resp;
-    resp.session_id = request.session_id;
-    resp.enqueue_ns = request.arrival_ns;
-
-    // Same session -> lane placement as the pool, on simulated host lane
-    // clocks: one session's requests stay ordered, distinct sessions
-    // overlap across lanes, and batching/queueing behavior survives the
-    // fallback unchanged.
-    const std::size_t lane = request.session_id % host_lane_ns_.size();
-    double clock = std::max(host_lane_ns_[lane], dispatch_time);
-    resp.dispatch_ns = clock;
-
-    // Same lane-schedule span shape as the GPU path, on a simulated host
-    // lane track — the trace tree looks identical across backends.
-    const obs::TraceContext outer_ctx = obs::current_context();
-    const uint64_t lane_span =
-        obs::tracing_enabled() ? obs::TraceRecorder::instance().next_id()
-                               : 0;
-    obs::ContextScope lane_scope(lane_span);
-
-    he::Backend &backend = host_bundle_.backend();
-    try {
-        // Key acquisition mirrors the GPU path; the re-staging charge of
-        // an evicted keyset lands on the lane clock instead of a device
-        // queue.
-        const ckks::RelinKeys *relin = has_relin_ ? &relin_ : nullptr;
-        const ckks::GaloisKeys *galois = has_galois_ ? &galois_ : nullptr;
-        std::shared_ptr<const SessionKeys> session_keys;
-        if (key_manager_->has(request.session_id)) {
-            KeyManager::Acquired acq =
-                key_manager_->acquire(request.session_id);
-            session_keys = std::move(acq.keys);
-            relin = &session_keys->relin;
-            galois = &session_keys->galois;
-            if (acq.miss) {
-                clock += kHostKeyLoadNsPerByte *
-                         static_cast<double>(acq.expanded_bytes);
-            }
-        }
-
-        std::size_t input_level = host_->max_level();
-        if (request.cost_only && request.cost_only_level != 0) {
-            input_level = std::min<std::size_t>(request.cost_only_level,
-                                                host_->max_level());
-        }
-
-        std::shared_ptr<const he::Program> client_program;
-        const bool is_program = request.op == Op::Program;
-        if (is_program) {
-            if (config_.compile_programs) {
-                client_program = compiled_program(request.session_id,
-                                                  request.program,
-                                                  input_level);
-            } else {
-                auto raw = he::load_program(request.program, *host_);
-                util::require(raw.outputs.size() == 1,
-                              "served programs must have exactly one output");
-                client_program =
-                    std::make_shared<const he::Program>(std::move(raw));
-            }
-        }
-
-        const bool needs_relin = request.op != Op::Rotate &&
-                                 request.op != Op::MatmulTile && !is_program;
-        util::require(!needs_relin || relin != nullptr,
-                      "relin keys not registered");
-        util::require(request.op != Op::Rotate || galois != nullptr,
-                      "galois keys not registered");
-
-        // Deterministic lane-time charge: nodes x per-node cost x limb
-        // count.  Strictly positive, so dispatch < complete holds for
-        // every served request.
-        std::size_t nodes = 1;
-        if (request.op == Op::MatmulTile) {
-            nodes = 2 * static_cast<std::size_t>(request.matmul_tiles);
-        } else if (is_program) {
-            nodes = std::max<std::size_t>(client_program->nodes.size(), 1);
-        } else {
-            nodes = std::max<std::size_t>(
-                core::routine_program(static_cast<core::Routine>(request.op))
-                    .nodes.size(),
-                1);
-        }
-        clock += kHostNodeNs * static_cast<double>(nodes) *
-                 static_cast<double>(input_level + 1);
-
+        std::vector<he::Cipher> operands;
+        operands.reserve(arity);
         if (!request.cost_only) {
-            const std::size_t arity = is_program ? client_program->num_inputs
-                                                 : op_arity(request.op);
             util::require(request.inputs.size() == arity,
                           "input count does not match op");
-            std::vector<he::Cipher> operands;
-            operands.reserve(arity);
             for (const auto &bytes : request.inputs) {
                 operands.push_back(
                     backend.upload(wire::load_ciphertext(bytes, *host_)));
             }
+        } else if (gpu) {
+            for (std::size_t a = 0; a < arity; ++a) {
+                operands.push_back(gpu->adopt(
+                    fabricate(gpu->gpu(), 2, input_level, kScale)));
+            }
+        }
 
+        if (!request.cost_only || gpu) {
             he::Cipher result;
-            if (request.op == Op::MatmulTile) {
-                // The GPU path's t-fold multiply-accumulate of a*b is the
+            if (request.op == Op::MatmulTile && gpu) {
+                // One output tile of the encrypted matmul: a chain of
+                // fused multiply-accumulates into one accumulator,
+                // strictly ordered on the session's lane (Section IV-E).
+                const core::GpuCiphertext &a = gpu->native(operands[0]);
+                const core::GpuCiphertext &b = gpu->native(operands[1]);
+                core::GpuCiphertext acc = core::allocate_ciphertext(
+                    gpu->gpu(), 3, a.rns, a.scale * b.scale);
+                for (uint64_t t = 0; t < request.matmul_tiles; ++t) {
+                    evaluator->multiply_acc(a, b, acc);
+                }
+                result = gpu->adopt(std::move(acc));
+            } else if (request.op == Op::MatmulTile) {
+                // The GPU's t-fold multiply-accumulate of a*b is the
                 // size-3 product added to itself tiles-1 more times.
                 const he::Cipher product =
                     backend.multiply(operands[0], operands[1]);
@@ -850,17 +663,21 @@ Response InferenceServer::execute_host(const Request &request,
                     result = backend.add(result, product);
                 }
             } else {
+                // Everything else is a program: either the client's
+                // circuit or the canonical program of the named routine —
+                // one execution path for fixed-function and arbitrary
+                // requests.
                 he::Program stepped_rotate;
-                const he::Program *program = nullptr;
-                if (is_program) {
-                    program = client_program.get();
-                } else if (request.op == Op::Rotate &&
-                           request.rotate_step != 1) {
+                const he::Program *program = client_program.get();
+                if (request.op == Op::Rotate && request.rotate_step != 1) {
                     stepped_rotate = he::rotate_program(request.rotate_step);
                     program = &stepped_rotate;
-                } else {
-                    const auto routine =
-                        static_cast<core::Routine>(request.op);
+                } else if (!is_program) {
+                    // Fixed-function requests run the same compiled form
+                    // the routine harness does (identity for these
+                    // programs — they are already minimal — but one code
+                    // path).
+                    const auto routine = static_cast<core::Routine>(request.op);
                     program = config_.compile_programs
                                   ? &core::routine_program_compiled(routine)
                                   : &core::routine_program(routine);
@@ -872,8 +689,14 @@ Response InferenceServer::execute_host(const Request &request,
                     he::run_program(*program, backend, operands, keys)
                         .front());
             }
+
             if (config_.functional) {
+                // On a GPU lane the download blocks the lane (the
+                // Decrypt-side synchronization of Fig. 2).
                 resp.result = wire::serialize(backend.download(result));
+            } else if (gpu) {
+                gpu->gpu().queue().transfer(gpu->native(result).all().size() *
+                                            sizeof(uint64_t));
             }
         }
         resp.ok = true;
@@ -887,27 +710,66 @@ Response InferenceServer::execute_host(const Request &request,
         resp.code = Status::ExecError;
         resp.error = e.what();
     }
-    host_lane_ns_[lane] = clock;
-    resp.complete_ns = clock;
+    resp.complete_ns = lane_clock();
     if (lane_span != 0) {
+        // Same span shape on both backends, so the trace tree looks
+        // identical whichever lane served the request.
         obs::SpanRecord span;
         span.id = lane_span;
         span.parent = outer_ctx.span;
         span.clock = obs::Clock::Sim;
         span.category = obs::Category::Schedule;
         span.name = "serve.lane";
-        span.detail = "host lane=" + std::to_string(lane);
+        span.detail = (gpu ? "lane=" : "host lane=") + std::to_string(lane);
         span.start_ns = resp.dispatch_ns;
         span.end_ns = resp.complete_ns;
-        span.track = obs_host_lane_track(lane);
+        span.track = gpu ? gpu->gpu().queue().obs_track()
+                         : obs_host_lane_track(lane);
         obs::TraceRecorder::instance().record(std::move(span));
     }
     return resp;
 }
 
+void LatencyLog::record(const Response &resp) {
+    latencies_ns_.push_back(resp.latency_ns());
+    last_complete_ns_ = std::max(last_complete_ns_, resp.complete_ns);
+    if (first_enqueue_ns_ < 0.0 || resp.enqueue_ns < first_enqueue_ns_) {
+        first_enqueue_ns_ = resp.enqueue_ns;
+    }
+}
+
+void LatencyLog::summarize(LatencyStats &stats) const {
+    stats.requests = latencies_ns_.size();
+    if (latencies_ns_.empty()) {
+        return;
+    }
+    std::vector<double> sorted = latencies_ns_;
+    std::sort(sorted.begin(), sorted.end());
+    // Exact nearest-rank percentiles (obs::percentile is the shared
+    // implementation); the registry histogram is the bounded export-side
+    // view of the same distribution.
+    stats.p50_ms = obs::percentile(sorted, 0.50) * 1e-6;
+    stats.p95_ms = obs::percentile(sorted, 0.95) * 1e-6;
+    stats.p99_ms = obs::percentile(sorted, 0.99) * 1e-6;
+    stats.max_ms = sorted.back() * 1e-6;
+    double sum = 0.0;
+    for (const double v : sorted) {
+        sum += v;
+    }
+    stats.mean_ms = sum / static_cast<double>(sorted.size()) * 1e-6;
+    // Lanes (and shards) overlap, so the serving window spans the
+    // earliest enqueue to the latest completion.
+    const double window_ns =
+        last_complete_ns_ - std::max(first_enqueue_ns_, 0.0);
+    stats.makespan_ms = window_ns * 1e-6;
+    stats.throughput_rps = window_ns > 0.0
+                               ? static_cast<double>(stats.requests) /
+                                     (window_ns * 1e-9)
+                               : 0.0;
+}
+
 LatencyStats InferenceServer::stats() const {
     LatencyStats stats;
-    stats.requests = latencies_ns_.size();
     stats.failed = failed_;
     stats.overloaded = overloaded_;
     stats.invalid_programs = invalid_programs_;
@@ -934,31 +796,7 @@ LatencyStats InferenceServer::stats() const {
         reg.gauge("xgpu.cache.peak_live_bytes")
             .set(static_cast<double>(peak));
     }
-
-    if (latencies_ns_.empty()) {
-        return stats;
-    }
-    std::vector<double> sorted = latencies_ns_;
-    std::sort(sorted.begin(), sorted.end());
-    // Exact nearest-rank percentiles (obs::percentile is the shared
-    // implementation); the registry histogram above is the bounded
-    // export-side view of the same distribution.
-    stats.p50_ms = obs::percentile(sorted, 0.50) * 1e-6;
-    stats.p95_ms = obs::percentile(sorted, 0.95) * 1e-6;
-    stats.p99_ms = obs::percentile(sorted, 0.99) * 1e-6;
-    stats.max_ms = sorted.back() * 1e-6;
-    double sum = 0.0;
-    for (const double v : sorted) {
-        sum += v;
-    }
-    stats.mean_ms = sum / static_cast<double>(sorted.size()) * 1e-6;
-    const double window_ns = last_complete_ns_ - std::max(first_enqueue_ns_,
-                                                          0.0);
-    stats.makespan_ms = window_ns * 1e-6;
-    stats.throughput_rps = window_ns > 0.0
-                               ? static_cast<double>(stats.requests) /
-                                     (window_ns * 1e-9)
-                               : 0.0;
+    completed_.summarize(stats);
     return stats;
 }
 

@@ -3,18 +3,22 @@
 // the multi-queue scheduler into a client/server system.
 //
 // Clients submit wire-serialized Requests (monolithic envelopes or bounded
-// chunk-frame streams); the server parses them into an admission queue,
-// forms dynamic batches (dispatch when the batch fills or when the
-// admission window expires), deserializes the operand ciphertexts, and
-// runs each request on its session's lane of a GpuEvaluatorPool — so one
-// session's chain stays in-order while distinct sessions overlap across
-// tiles (Section III-D applied per request).  Per-session evaluation keys
-// live behind a serve::KeyManager: a byte-budgeted LRU cache of expanded
-// keysets over a seed-compressed cold store, so sessions may far outnumber
-// resident keys.  Every response carries enqueue/dispatch/complete
-// timestamps off the simulated clock; the server aggregates them into
-// p50/p95/p99 latency and throughput, the serving metrics makespan-only
-// reporting cannot express.
+// chunk-frame streams, reassembled by the shared serve::ChunkAssembler);
+// the server parses them into an admission queue, forms dynamic batches
+// (dispatch when the batch fills or when the admission window expires),
+// deserializes the operand ciphertexts, and runs each request on its
+// session's lane of a GpuEvaluatorPool — so one session's chain stays
+// in-order while distinct sessions overlap across tiles (Section III-D
+// applied per request).  Requests routed to (or falling back to) the host
+// backend run on simulated host lanes with the same placement.  Either
+// way one execution path serves them through he::Backend; only the lane
+// clock and the kernels that touch device memory differ.  Per-session
+// evaluation keys live behind a serve::KeyManager: a byte-budgeted LRU
+// cache of expanded keysets over a seed-compressed cold store, so sessions
+// may far outnumber resident keys.  Every response carries
+// enqueue/dispatch/complete timestamps off the simulated clock; the server
+// aggregates them (serve::LatencyLog) into p50/p95/p99 latency and
+// throughput, the serving metrics makespan-only reporting cannot express.
 #pragma once
 
 #include <memory>
@@ -102,6 +106,23 @@ struct LatencyStats {
     KeyStats keys;
 };
 
+/// Lifetime record of completed requests, summarized into the latency
+/// half of LatencyStats — one implementation for InferenceServer and the
+/// sharded front end's merged view.
+class LatencyLog {
+public:
+    /// Records a successfully completed request.
+    void record(const Response &resp);
+    /// Sets `stats.requests`, the exact nearest-rank percentiles, mean,
+    /// max, makespan (first enqueue to last completion) and throughput.
+    void summarize(LatencyStats &stats) const;
+
+private:
+    std::vector<double> latencies_ns_;
+    double first_enqueue_ns_ = -1.0;
+    double last_complete_ns_ = 0.0;
+};
+
 class InferenceServer {
 public:
     /// `key_manager` (optional) shares one key cache across servers — the
@@ -150,7 +171,9 @@ public:
     void submit_chunk(std::span<const uint8_t> frame);
 
     /// Streams with at least one accepted chunk that have not completed.
-    std::size_t open_streams() const noexcept { return streams_.size(); }
+    std::size_t open_streams() const noexcept {
+        return chunks_.open_streams();
+    }
     /// Requests admitted and not yet drained by run().
     std::size_t pending_requests() const noexcept { return pending_.size(); }
 
@@ -176,17 +199,19 @@ private:
     /// compile and kernel spans all link to it) and records the
     /// serve.request span over [enqueue, complete] once routing returns.
     Response execute(const Request &request, double dispatch_time);
-    /// Routing + dispatch (the pre-observability execute()).
+    /// Routing: picks the lane kind (hint, cost routing, GPU
+    /// availability) and retries on host when the GPU backend vanished.
     Response execute_routed(const Request &request, double dispatch_time);
-    /// The GPU execution path (requires pool_); throws
+    /// The one request-execution path: keys, program resolution,
+    /// operands, run_program, result, Status mapping and the lane span,
+    /// on the session's GPU pool lane or (`on_host`) its simulated host
+    /// lane.  Per backend only the lane clock (device queue vs the
+    /// synthetic host model) and the device-memory kernels (cost-only
+    /// operands, the fused MatmulTile chain) differ.  A GPU lane throws
     /// he::BackendUnavailable before any side effect if the "gpu"
-    /// registry entry vanished, so execute() can fall back to host.
-    Response execute_gpu(const Request &request, double dispatch_time);
-    /// The host execution path: real HostBackend evaluation for
-    /// functional requests, plus a deterministic synthetic lane-time
-    /// model so latency/batching behavior stays measurable without a
-    /// device clock.
-    Response execute_host(const Request &request, double dispatch_time);
+    /// registry entry vanished.
+    Response execute_on(const Request &request, double dispatch_time,
+                        bool on_host);
     /// Cheap routing cost proxy for BackendHint::Auto requests.
     std::size_t route_cost(const Request &request) const;
     /// The compiled form of a client program, from the per-session cache
@@ -230,36 +255,21 @@ private:
                        std::shared_ptr<const he::Program>> program_cache_;
     std::size_t program_cache_hits_ = 0;
 
-    /// In-flight chunked streams, bounded (kMaxOpenStreams) so a client
-    /// opening streams and never finishing them cannot grow the server.
-    struct ChunkStream {
-        StreamingRequestParser parser;
-        uint32_t next_seq = 0;
-        uint64_t received = 0;
-        uint64_t total = 0;
-        uint64_t last_fed = 0;  ///< admission tick of the latest frame
-    };
-    static constexpr std::size_t kMaxOpenStreams = 256;
-    std::unordered_map<uint64_t, ChunkStream> streams_;
-    /// Monotone admission tick for stream staleness: at the open-stream
-    /// cap the least-recently-fed stream is evicted (with a typed
-    /// failure) instead of rejecting new streams forever.
-    uint64_t stream_tick_ = 0;
+    /// In-flight chunked streams (see ChunkAssembler).
+    ChunkAssembler chunks_;
 
     std::vector<Request> pending_;
     std::vector<Response> parse_failures_;
     double admission_clock_ns_ = 0.0;
 
     // Lifetime aggregates for stats().
-    std::vector<double> latencies_ns_;
+    LatencyLog completed_;
     std::size_t failed_ = 0;
     std::size_t overloaded_ = 0;
     std::size_t invalid_programs_ = 0;
     std::size_t batches_ = 0;
     std::size_t fallbacks_ = 0;
     std::size_t host_requests_ = 0;
-    double first_enqueue_ns_ = -1.0;
-    double last_complete_ns_ = 0.0;
 
     // Lazily allocated Perfetto tracks: one for serve.request/serve.batch
     // spans, one per simulated host lane (GPU lanes use their queue's).

@@ -11,6 +11,11 @@
 // uniform, and stable: resizing from k to k+1 shards moves only ~1/(k+1)
 // of the sessions, so a warm key cache mostly survives a topology change.
 //
+// Chunk streams reassemble at the front door through the same
+// serve::ChunkAssembler a single InferenceServer uses (a stream's session,
+// and so its shard, is only known once its header parses); the merged
+// latency view comes from the same serve::LatencyLog.
+//
 // Backpressure: every shard has a credit window (credits_per_shard).
 // Admitting a request consumes one credit; draining the shard (run())
 // restores the window.  When a shard is out of credits its requests are
@@ -124,25 +129,13 @@ private:
     std::vector<std::size_t> credits_ GUARDED_BY(mutex_);
     std::vector<Response> rejections_ GUARDED_BY(mutex_);
 
-    struct FrontChunkStream {
-        StreamingRequestParser parser;
-        uint32_t next_seq = 0;
-        uint64_t received = 0;
-        uint64_t total = 0;
-        uint64_t last_fed = 0;  ///< admission tick of the latest frame
-    };
-    std::unordered_map<uint64_t, FrontChunkStream> streams_
-        GUARDED_BY(mutex_);
-    /// Staleness tick: at the open-stream cap the least-recently-fed
-    /// stream is evicted instead of locking out new streams forever.
-    uint64_t stream_tick_ GUARDED_BY(mutex_) = 0;
+    /// Front-door chunk reassembly (see ChunkAssembler).
+    ChunkAssembler chunks_ GUARDED_BY(mutex_);
 
     // Lifetime aggregates (completed requests across every run()).
-    std::vector<double> latencies_ns_ GUARDED_BY(mutex_);
+    LatencyLog completed_ GUARDED_BY(mutex_);
     std::size_t overloaded_ GUARDED_BY(mutex_) = 0;
     std::size_t failed_ GUARDED_BY(mutex_) = 0;
-    double first_enqueue_ns_ GUARDED_BY(mutex_) = -1.0;
-    double last_complete_ns_ GUARDED_BY(mutex_) = 0.0;
 };
 
 }  // namespace xehe::serve

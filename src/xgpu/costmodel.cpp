@@ -27,23 +27,6 @@ double core_op_cost(CoreOp op, IsaMode mode) noexcept {
     return 0.0;
 }
 
-void KernelStats::accumulate(const KernelStats &other) {
-    alu_ops += other.alu_ops;
-    gmem_bytes += other.gmem_bytes;
-    slm_bytes += other.slm_bytes;
-    shuffle_ops += other.shuffle_ops;
-    spill_bytes += other.spill_bytes;
-    work_items += other.work_items;
-    if (name.empty()) {
-        name = other.name;
-        is_ntt = other.is_ntt;
-        asm_sensitive = other.asm_sensitive;
-        gmem_eff = other.gmem_eff;
-        slm_eff = other.slm_eff;
-        wg_size = other.wg_size;
-    }
-}
-
 double CostModel::occupancy(double work_items, int tiles_used) const noexcept {
     if (work_items <= 0.0) {
         return 1.0;
@@ -104,15 +87,6 @@ double CostModel::kernel_time_ns(const KernelStats &stats,
     }
 
     return t * 1e9 + launch_overhead_ns(cfg);
-}
-
-double CostModel::efficiency(const KernelStats &stats,
-                             double time_ns) const noexcept {
-    if (time_ns <= 0.0) {
-        return 0.0;
-    }
-    const double achieved = stats.alu_ops / (time_ns * 1e-9);
-    return achieved / spec_.peak_int64_ops(1);
 }
 
 }  // namespace xehe::xgpu

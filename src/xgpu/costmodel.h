@@ -63,9 +63,6 @@ struct KernelStats {
 
     double work_items = 0.0;
     std::size_t wg_size = 1;   ///< work-items per work-group
-
-    /// Merge another launch's work into this record (same kernel class).
-    void accumulate(const KernelStats &other);
 };
 
 /// Execution configuration for a launch.
@@ -96,11 +93,6 @@ public:
         return cfg.charge_launch_overhead ? spec_.kernel_launch_overhead_ns
                                           : 0.0;
     }
-
-    /// Achieved int64 rate relative to the single-tile peak — the paper's
-    /// "efficiency" metric (its dual-tile numbers reconcile against the
-    /// single-tile peak; see EXPERIMENTS.md).
-    double efficiency(const KernelStats &stats, double time_ns) const noexcept;
 
 private:
     DeviceSpec spec_;

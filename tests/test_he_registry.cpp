@@ -474,6 +474,89 @@ TEST(HeRegistryFallback, HostHintRoutesWithoutFallbackCount) {
     EXPECT_EQ(stats.host_requests, 1u);
     // And the two backends agreed bit-exactly on the same job.
     EXPECT_EQ(host_result, gpu_result);
+
+    // The same pair as a MatmulTile job: the host lane's multiply plus
+    // tiles-1 adds must match the GPU lane's fused multiply-accumulate
+    // chain byte for byte.
+    const auto ct_b = rig.host.enc(rig.host.values(42));
+    for (const auto hint :
+         {serve::BackendHint::Host, serve::BackendHint::Auto}) {
+        serve::Request tile;
+        tile.session_id = hint == serve::BackendHint::Host ? 1 : 2;
+        tile.op = serve::Op::MatmulTile;
+        tile.matmul_tiles = 3;
+        tile.backend = hint;
+        tile.inputs.push_back(wire::serialize(ct));
+        tile.inputs.push_back(wire::serialize(ct_b));
+        server.submit(wire::serialize(tile));
+    }
+    const auto tiles = server.run();
+    ASSERT_EQ(tiles.size(), 2u);
+    std::vector<uint8_t> host_tile, gpu_tile;
+    for (const auto &resp : tiles) {
+        ASSERT_TRUE(resp.ok) << resp.error;
+        (resp.session_id == 1 ? host_tile : gpu_tile) = resp.result;
+    }
+    EXPECT_EQ(server.stats().fallbacks, 0u);
+    EXPECT_EQ(server.stats().host_requests, 2u);
+    EXPECT_FALSE(host_tile.empty());
+    EXPECT_EQ(host_tile, gpu_tile);
+}
+
+TEST(HeRegistryFallback, HostLaneChargesTheSyntheticTimeModel) {
+    // The host lane's simulated clock starts at max(lane, dispatch), then
+    // adds the key-miss re-staging charge (0.25 ns per expanded key
+    // byte), then 40 us per program node per RNS limb — in that order,
+    // so the doubles reproduce bit for bit.
+    constexpr double kNodeNs = 40000.0;
+    constexpr double kKeyLoadNsPerByte = 0.25;
+    RegistryRig rig;
+    serve::InferenceServer server(rig.host.context, xgpu::device1(),
+                                  core::GpuOptions{}, serve::ServerConfig{});
+    server.register_session_keys(7, rig.relin, rig.galois);
+    server.register_session_keys(8, rig.relin, rig.galois);
+
+    serve::Request functional;
+    functional.session_id = 7;
+    functional.op = serve::Op::MulLinRS;
+    functional.backend = serve::BackendHint::Host;
+    functional.inputs.push_back(
+        wire::serialize(rig.host.enc(rig.host.values(61))));
+    functional.inputs.push_back(
+        wire::serialize(rig.host.enc(rig.host.values(62))));
+    server.submit(wire::serialize(functional));
+
+    serve::Request cost_only;
+    cost_only.session_id = 8;
+    cost_only.op = serve::Op::MulLinRS;
+    cost_only.backend = serve::BackendHint::Host;
+    cost_only.cost_only = true;
+    server.submit(wire::serialize(cost_only));
+
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), 2u);
+    const double key_bytes = static_cast<double>(
+        serve::expanded_key_bytes(rig.relin, rig.galois));
+    const double nodes = static_cast<double>(
+        core::routine_program(core::Routine::MulLinRS).nodes.size());
+    const double limbs =
+        static_cast<double>(rig.host.context.max_level() + 1);
+    for (const auto &resp : responses) {
+        ASSERT_TRUE(resp.ok) << resp.error;
+        // Both requests miss the key cache (first acquire of each
+        // session) and run at the maximum level.
+        double clock = resp.dispatch_ns;
+        clock += kKeyLoadNsPerByte * key_bytes;
+        clock += kNodeNs * nodes * limbs;
+        EXPECT_EQ(resp.complete_ns, clock) << "session " << resp.session_id;
+        // A cost-only request on a host lane runs no arithmetic and
+        // returns no result bytes; the functional one does.
+        EXPECT_EQ(resp.result.empty(), resp.session_id == 8);
+    }
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.host_requests, 2u);
+    EXPECT_EQ(stats.fallbacks, 0u);
+    EXPECT_EQ(stats.keys.misses, 2u);
 }
 
 TEST(HeRegistryFallback, AutoCostRoutingSendsSmallJobsToHost) {
