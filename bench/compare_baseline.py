@@ -9,7 +9,9 @@ current run, and every baseline entry must declare its "direction":
 "higher" (higher is better: regression = current below
 baseline / (1 + tol)) or "lower" (lower is better: regression = current
 above baseline * (1 + tol)).  The metric's name never decides its
-direction; a baseline entry without a valid direction is an error.
+direction; a baseline entry without a valid direction is an error.  A
+zero baseline has no ratio: a lower-is-better metric whose baseline is 0
+fails as soon as the current value is above 0.
 
 The baseline holds only the *deterministic simulated* metrics emitted by
 the fig_* --json benches — wall-clock microbenchmark numbers vary too
@@ -78,11 +80,14 @@ def main():
             print(f"{name:<44}{base:>12.3f}{'MISSING':>12}")
             continue
         cur = current[name]
-        if directions[name] == "higher":
+        if cur == base:
+            ratio = 1.0
+        elif directions[name] == "higher":
             # cur == 0 on a higher-is-better metric is a total collapse.
             ratio = base / cur if cur else float("inf")
         else:
-            ratio = cur / base if base else 1.0
+            # Any rise above a zero lower-is-better baseline fails.
+            ratio = cur / base if base else float("inf")
         flag = ""
         if ratio > 1.0 + args.tolerance:
             failures.append(

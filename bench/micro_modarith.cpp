@@ -45,26 +45,30 @@ static void BM_MulModBarrett(benchmark::State &state) {
 }
 BENCHMARK(BM_MulModBarrett);
 
+// The fused and unfused multiply-add benches each time independent ops: the
+// accumulator is read from a table, not carried from the previous
+// iteration, so neither loop puts the reduction on a dependency chain and
+// the two report op cost rather than latency.
 static void BM_MadModFused(benchmark::State &state) {
-    const auto a = random_inputs(4096, 5), b = random_inputs(4096, 6);
-    uint64_t acc = 0;
+    const auto a = random_inputs(4096, 5), b = random_inputs(4096, 6),
+               c = random_inputs(4096, 12);
     std::size_t i = 0;
     for (auto _ : state) {
-        acc = xu::mad_mod(a[i & 4095], b[i & 4095], acc, kModulus);
-        benchmark::DoNotOptimize(acc);
+        benchmark::DoNotOptimize(xu::mad_mod(a[i & 4095], b[i & 4095],
+                                             c[i & 4095], kModulus));
         ++i;
     }
 }
 BENCHMARK(BM_MadModFused);
 
 static void BM_MulModAddModUnfused(benchmark::State &state) {
-    const auto a = random_inputs(4096, 7), b = random_inputs(4096, 8);
-    uint64_t acc = 0;
+    const auto a = random_inputs(4096, 7), b = random_inputs(4096, 8),
+               c = random_inputs(4096, 13);
     std::size_t i = 0;
     for (auto _ : state) {
-        acc = xu::add_mod(xu::mul_mod(a[i & 4095], b[i & 4095], kModulus), acc,
-                          kModulus);
-        benchmark::DoNotOptimize(acc);
+        benchmark::DoNotOptimize(xu::add_mod(
+            xu::mul_mod(a[i & 4095], b[i & 4095], kModulus), c[i & 4095],
+            kModulus));
         ++i;
     }
 }

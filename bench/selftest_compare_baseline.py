@@ -9,6 +9,9 @@ Checks, in-process against copies of the real baseline:
     wrong way at once fails the gate, and improved 2x passes;
   * each metric with a non-zero baseline, regressed 2x alone in its
     declared direction, fails the gate;
+  * a lower-is-better metric with a zero baseline fails once it rises
+    above 0 and passes while it stays 0 (checked on the real baseline's
+    zero entries and on a synthetic one);
   * a baseline entry without a direction (or with an unknown one) fails.
 
 Exits 1 on the first broken expectation.
@@ -85,13 +88,31 @@ def main():
 
         for entry in baseline["benchmarks"]:
             if entry["real_time"] == 0:
-                continue  # a zero baseline has no ratio to regress
+                continue  # zero baselines: checked below
             name = entry["name"]
             regressed = scaled(
                 baseline, lambda b: worse(b["direction"])
                 if b["name"] == name else 1.0)
             if gate(tmp, baseline, regressed) != 1:
                 failures.append(f"{name} regressed 2x alone passed the gate")
+
+        with_zero = copy.deepcopy(baseline)
+        with_zero["benchmarks"].append(
+            {"name": "selftest/zero_lower", "run_type": "iteration",
+             "real_time": 0, "time_unit": "count", "direction": "lower"})
+        for entry in with_zero["benchmarks"]:
+            if entry["real_time"] != 0 or entry["direction"] != "lower":
+                continue
+            name = entry["name"]
+            risen = copy.deepcopy(with_zero)
+            for b in risen["benchmarks"]:
+                if b["name"] == name:
+                    b["real_time"] = 1
+            if gate(tmp, with_zero, risen) != 1:
+                failures.append(f"{name}: zero baseline risen to 1 passed "
+                                "the gate")
+        if gate(tmp, with_zero, with_zero) != 0:
+            failures.append("zero baselines held at 0 failed the gate")
 
         for bad in (None, "sideways"):
             broken = copy.deepcopy(baseline)

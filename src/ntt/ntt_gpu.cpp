@@ -52,6 +52,30 @@ struct Geometry {
     std::size_t elements() const noexcept { return transforms() * n; }
 };
 
+/// Work-item indexing of a global radix-R round group whose smallest gap
+/// is `g`: item -> (transform, first element).  Every size involved is a
+/// power of two, so the divisions are shifts and masks.
+struct GroupIndex {
+    std::size_t radix, g;
+    int log_g, log_per_transform;
+
+    GroupIndex(const Geometry &geo, std::size_t gap_lo, int sub_rounds)
+        : radix(std::size_t{1} << sub_rounds), g(gap_lo),
+          log_g(util::log2_exact(gap_lo)),
+          log_per_transform(util::log2_exact(geo.n) - sub_rounds) {}
+
+    std::size_t transform(std::size_t item) const noexcept {
+        return item >> log_per_transform;
+    }
+    /// Element index of the item's first butterfly input within its
+    /// transform: ((k / g) * radix * g) + (k % g) for k = item's rank.
+    std::size_t base(std::size_t item) const noexcept {
+        const std::size_t k =
+            item & ((std::size_t{1} << log_per_transform) - 1);
+        return (((k >> log_g) * radix) << log_g) + (k & (g - 1));
+    }
+};
+
 /// Register footprint of a radix-R kernel per EU thread: R data registers
 /// plus 2R twiddle registers (root power and Harvey quotient) per lane, on
 /// SIMD-8 lanes, plus a fixed overhead for addresses and indices.
@@ -100,34 +124,35 @@ public:
 
     void run(xgpu::WorkGroup &wg) const override {
         const auto r = range_impl();
-        const std::size_t radix = std::size_t{1} << sub_rounds_;
-        const std::size_t per_transform = geo_.n / radix;
+        const GroupIndex ix(geo_, gap_lo_, sub_rounds_);
         wg.for_each_item([&](std::size_t local) {
             const std::size_t item = wg.group_id() * r.local + local;
             if (item >= r.items) {
                 return;
             }
-            const std::size_t b = item / per_transform;
-            const std::size_t k = item % per_transform;
+            const std::size_t b = ix.transform(item);
             const NttTables &t = tables_[b % geo_.rns];
+            const MultiplyModOperand *roots = t.root_powers().data();
+            const Modulus &q = t.modulus();
             uint64_t *slice = data_.data() + b * geo_.n;
-            const std::size_t g = gap_lo_;
-            const std::size_t base = (k / g) * (radix * g) + (k % g);
+            const std::size_t base = ix.base(item);
             // Largest-gap sub-round first (stride radix/2), down to stride 1.
+            // Each run of `stride` butterflies shares one twiddle.
             for (int s = 0; s < sub_rounds_; ++s) {
-                const std::size_t stride = radix >> (s + 1);
-                const std::size_t big_gap = g * stride;
-                const std::size_t m = geo_.n / (2 * big_gap);
-                for (std::size_t u = 0; u < radix; ++u) {
-                    if (((u / stride) & 1) != 0) {
-                        continue;
+                const std::size_t stride = ix.radix >> (s + 1);
+                const std::size_t big_gap = ix.g * stride;
+                // log2(2 * big_gap): the span one twiddle covers.
+                const int log_span = ix.log_g + sub_rounds_ - s;
+                const std::size_t m = geo_.n >> log_span;
+                for (std::size_t u0 = 0; u0 < ix.radix; u0 += 2 * stride) {
+                    const std::size_t idx0 = base + u0 * ix.g;
+                    const MultiplyModOperand &w =
+                        roots[m + (idx0 >> log_span)];
+                    for (std::size_t idx = idx0; idx < idx0 + big_gap;
+                         idx += ix.g) {
+                        util::forward_butterfly(&slice[idx],
+                                                &slice[idx + big_gap], w, q);
                     }
-                    const std::size_t idx = base + u * g;
-                    const std::size_t i = idx / (2 * big_gap);
-                    util::forward_butterfly(&slice[idx],
-                                            &slice[idx + big_gap],
-                                            t.root_powers()[m + i],
-                                            t.modulus());
                 }
             }
         });
@@ -194,14 +219,19 @@ public:
         }
         // All remaining rounds inside SLM (SIMD-shuffle rounds are
         // arithmetically identical; the difference is cost-model only).
-        for (std::size_t gap = block_ / 2; gap >= 1; gap >>= 1) {
-            const std::size_t m = geo_.n / (2 * gap);
-            for (std::size_t ind = 0; ind < block_ / 2; ++ind) {
-                const std::size_t lidx = (ind / gap) * 2 * gap + (ind % gap);
-                const std::size_t gidx = base + lidx;
-                const std::size_t i = gidx / (2 * gap);
-                util::forward_butterfly(&slm[lidx], &slm[lidx + gap],
-                                        t.root_powers()[m + i], q);
+        // Each run of `gap` butterflies shares one twiddle.
+        const MultiplyModOperand *roots = t.root_powers().data();
+        for (int log_span = util::log2_exact(block_); log_span >= 1;
+             --log_span) {
+            const std::size_t gap = std::size_t{1} << (log_span - 1);
+            const std::size_t m = geo_.n >> log_span;
+            for (std::size_t off = 0; off < block_; off += 2 * gap) {
+                const MultiplyModOperand &w =
+                    roots[m + ((base + off) >> log_span)];
+                uint64_t *x = slm.data() + off;
+                for (std::size_t j = 0; j < gap; ++j) {
+                    util::forward_butterfly(x + j, x + j + gap, w, q);
+                }
             }
         }
         // Fused last-round processing + store.
@@ -294,12 +324,13 @@ public:
 
     void run(xgpu::WorkGroup &wg) const override {
         const std::size_t local_size = range().local_size;
+        const int log_n = util::log2_exact(geo_.n);
         wg.for_each_item([&](std::size_t local) {
             const std::size_t i = wg.group_id() * local_size + local;
             if (i >= geo_.elements()) {
                 return;
             }
-            const std::size_t b = i / geo_.n;
+            const std::size_t b = i >> log_n;
             const Modulus &q = tables_[b % geo_.rns].modulus();
             data_[i] = util::reduce_from_4p(data_[i], q);
         });
@@ -356,15 +387,20 @@ public:
         for (std::size_t i = 0; i < block_; ++i) {
             slm[i] = slice[base + i];
         }
-        for (std::size_t gap = 1; gap <= block_ / 2; gap <<= 1) {
-            const std::size_t m = geo_.n / (2 * gap);
+        // Each run of `gap` butterflies shares one twiddle.
+        const MultiplyModOperand *roots = t.inv_root_powers().data();
+        const int log_block = util::log2_exact(block_);
+        for (int log_span = 1; log_span <= log_block; ++log_span) {
+            const std::size_t gap = std::size_t{1} << (log_span - 1);
+            const std::size_t m = geo_.n >> log_span;
             const std::size_t root_base = geo_.n - 2 * m + 1;
-            for (std::size_t ind = 0; ind < block_ / 2; ++ind) {
-                const std::size_t lidx = (ind / gap) * 2 * gap + (ind % gap);
-                const std::size_t gidx = base + lidx;
-                const std::size_t i = gidx / (2 * gap);
-                util::inverse_butterfly(&slm[lidx], &slm[lidx + gap],
-                                        t.inv_root_powers()[root_base + i], q);
+            for (std::size_t off = 0; off < block_; off += 2 * gap) {
+                const MultiplyModOperand &w =
+                    roots[root_base + ((base + off) >> log_span)];
+                uint64_t *x = slm.data() + off;
+                for (std::size_t j = 0; j < gap; ++j) {
+                    util::inverse_butterfly(x + j, x + j + gap, w, q);
+                }
             }
         }
         for (std::size_t i = 0; i < block_; ++i) {
@@ -409,36 +445,38 @@ public:
     }
 
     void run(xgpu::WorkGroup &wg) const override {
-        const std::size_t radix = std::size_t{1} << sub_rounds_;
-        const std::size_t per_transform = geo_.n / radix;
-        const std::size_t items = geo_.transforms() * per_transform;
+        const GroupIndex ix(geo_, gap_lo_, sub_rounds_);
+        const std::size_t items = geo_.transforms() * (geo_.n >> sub_rounds_);
         const std::size_t local_size = range().local_size;
         wg.for_each_item([&](std::size_t local) {
             const std::size_t item = wg.group_id() * local_size + local;
             if (item >= items) {
                 return;
             }
-            const std::size_t b = item / per_transform;
-            const std::size_t k = item % per_transform;
+            const std::size_t b = ix.transform(item);
             const NttTables &t = tables_[b % geo_.rns];
+            const MultiplyModOperand *roots = t.inv_root_powers().data();
+            const Modulus &q = t.modulus();
             uint64_t *slice = data_.data() + b * geo_.n;
-            const std::size_t g = gap_lo_;
-            const std::size_t base = (k / g) * (radix * g) + (k % g);
+            const std::size_t base = ix.base(item);
             // Smallest-gap sub-round first (stride 1), up to stride radix/2.
+            // Each run of `stride` butterflies shares one twiddle.
             for (int s = 0; s < sub_rounds_; ++s) {
                 const std::size_t stride = std::size_t{1} << s;
-                const std::size_t big_gap = g * stride;
-                const std::size_t m = geo_.n / (2 * big_gap);
+                const std::size_t big_gap = ix.g * stride;
+                // log2(2 * big_gap): the span one twiddle covers.
+                const int log_span = ix.log_g + s + 1;
+                const std::size_t m = geo_.n >> log_span;
                 const std::size_t root_base = geo_.n - 2 * m + 1;
-                for (std::size_t u = 0; u < radix; ++u) {
-                    if (((u / stride) & 1) != 0) {
-                        continue;
+                for (std::size_t u0 = 0; u0 < ix.radix; u0 += 2 * stride) {
+                    const std::size_t idx0 = base + u0 * ix.g;
+                    const MultiplyModOperand &w =
+                        roots[root_base + (idx0 >> log_span)];
+                    for (std::size_t idx = idx0; idx < idx0 + big_gap;
+                         idx += ix.g) {
+                        util::inverse_butterfly(&slice[idx],
+                                                &slice[idx + big_gap], w, q);
                     }
-                    const std::size_t idx = base + u * g;
-                    const std::size_t i = idx / (2 * big_gap);
-                    util::inverse_butterfly(&slice[idx], &slice[idx + big_gap],
-                                            t.inv_root_powers()[root_base + i],
-                                            t.modulus());
                 }
             }
         });
@@ -488,12 +526,13 @@ public:
 
     void run(xgpu::WorkGroup &wg) const override {
         const std::size_t local_size = range().local_size;
+        const int log_n = util::log2_exact(geo_.n);
         wg.for_each_item([&](std::size_t local) {
             const std::size_t i = wg.group_id() * local_size + local;
             if (i >= geo_.elements()) {
                 return;
             }
-            const std::size_t b = i / geo_.n;
+            const std::size_t b = i >> log_n;
             const NttTables &t = tables_[b % geo_.rns];
             uint64_t v = data_[i];
             if (v >= 2 * t.modulus().value()) {

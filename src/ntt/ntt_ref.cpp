@@ -2,40 +2,46 @@
 
 namespace xehe::ntt {
 
-void forward_round_range(std::span<uint64_t> a, const NttTables &tables,
-                         std::size_t m, std::size_t gap, std::size_t first,
-                         std::size_t last) {
+namespace {
+
+/// One radix-2 Cooley-Tukey round: m groups of `gap` butterflies, group i
+/// using the single twiddle root_powers()[m + i].
+void forward_round(std::span<uint64_t> a, const NttTables &tables,
+                   std::size_t m, std::size_t gap) {
     const Modulus &q = tables.modulus();
-    const auto &roots = tables.root_powers();
-    for (std::size_t ind = first; ind < last; ++ind) {
-        const std::size_t i = ind / gap;
-        const std::size_t j = ind - i * gap;
-        const std::size_t idx = i * 2 * gap + j;
-        util::forward_butterfly(&a[idx], &a[idx + gap], roots[m + i], q);
+    const MultiplyModOperand *w = tables.root_powers().data() + m;
+    uint64_t *x = a.data();
+    for (std::size_t i = 0; i < m; ++i, ++w, x += 2 * gap) {
+        uint64_t *y = x + gap;
+        for (std::size_t j = 0; j < gap; ++j) {
+            util::forward_butterfly(x + j, y + j, *w, q);
+        }
     }
 }
 
-void inverse_round_range(std::span<uint64_t> a, const NttTables &tables,
-                         std::size_t m, std::size_t gap, std::size_t first,
-                         std::size_t last) {
+/// One radix-2 Gentleman-Sande inverse round (m groups, stride `gap`).
+void inverse_round(std::span<uint64_t> a, const NttTables &tables,
+                   std::size_t m, std::size_t gap) {
     const Modulus &q = tables.modulus();
-    const auto &roots = tables.inv_root_powers();
-    const std::size_t n = tables.n();
-    const std::size_t base = n - 2 * m + 1;
-    for (std::size_t ind = first; ind < last; ++ind) {
-        const std::size_t i = ind / gap;
-        const std::size_t j = ind - i * gap;
-        const std::size_t idx = i * 2 * gap + j;
-        util::inverse_butterfly(&a[idx], &a[idx + gap], roots[base + i], q);
+    const MultiplyModOperand *w =
+        tables.inv_root_powers().data() + (tables.n() - 2 * m + 1);
+    uint64_t *x = a.data();
+    for (std::size_t i = 0; i < m; ++i, ++w, x += 2 * gap) {
+        uint64_t *y = x + gap;
+        for (std::size_t j = 0; j < gap; ++j) {
+            util::inverse_butterfly(x + j, y + j, *w, q);
+        }
     }
 }
+
+}  // namespace
 
 void ntt_forward(std::span<uint64_t> a, const NttTables &tables) {
     const std::size_t n = tables.n();
     util::require(a.size() == n, "size mismatch");
     std::size_t gap = n >> 1;
     for (std::size_t m = 1; m < n; m <<= 1) {
-        forward_round_range(a, tables, m, gap, 0, n >> 1);
+        forward_round(a, tables, m, gap);
         gap >>= 1;
     }
     // Last-round processing: reduce the lazy range [0, 4q) to [0, q).
@@ -51,7 +57,7 @@ void ntt_inverse(std::span<uint64_t> a, const NttTables &tables) {
     const Modulus &q = tables.modulus();
     std::size_t gap = 1;
     for (std::size_t m = n >> 1; m >= 1; m >>= 1) {
-        inverse_round_range(a, tables, m, gap, 0, n >> 1);
+        inverse_round(a, tables, m, gap);
         gap <<= 1;
     }
     // Scale by N^{-1} and reduce to [0, q).

@@ -1,7 +1,9 @@
 // Reference (host, scalar) negacyclic NTT — the correctness oracle for all
 // GPU kernel variants, playing the role Intel HEXL's CPU path plays for the
 // paper.  Also provides an O(N^2) textbook negacyclic transform and
-// polynomial multiplication used to validate the fast transforms.
+// polynomial multiplication used to validate the fast transforms.  The
+// simulated GPU kernels (ntt_gpu.cpp) run their own round loops; they share
+// only the butterflies and tables with this file.
 #pragma once
 
 #include <span>
@@ -28,17 +30,5 @@ void naive_negacyclic_ntt(std::span<const uint64_t> a, std::span<uint64_t> out,
 void naive_negacyclic_multiply(std::span<const uint64_t> a,
                                std::span<const uint64_t> b,
                                std::span<uint64_t> c, const Modulus &q);
-
-/// One radix-2 Cooley-Tukey round (m groups, stride `gap`) over butterflies
-/// [first, last) of the round; shared by the reference path and the
-/// simulated GPU kernels.
-void forward_round_range(std::span<uint64_t> a, const NttTables &tables,
-                         std::size_t m, std::size_t gap, std::size_t first,
-                         std::size_t last);
-
-/// One radix-2 Gentleman-Sande inverse round (m groups, stride `gap`).
-void inverse_round_range(std::span<uint64_t> a, const NttTables &tables,
-                         std::size_t m, std::size_t gap, std::size_t first,
-                         std::size_t last);
 
 }  // namespace xehe::ntt

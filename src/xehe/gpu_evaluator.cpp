@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace xehe::core {
 
@@ -307,9 +308,10 @@ void GpuEvaluator::switch_key_inplace(GpuCiphertext &dest,
         const Modulus &mj = ctx_->key_modulus()[mod_idx];
         const auto src = target_coeff.span();
         auto dst = digits_at(j);
+        const int log_n = util::log2_exact(n);
         group.stage("ks_reduce_digits", l * n, 4.0, 2.0,
                     [=](std::size_t i) {
-                        const std::size_t comp = i / n;
+                        const std::size_t comp = i >> log_n;
                         dst[i] = comp == mod_idx
                                      ? src[i]
                                      : util::barrett_reduce_64(src[i], mj);
@@ -322,20 +324,23 @@ void GpuEvaluator::switch_key_inplace(GpuCiphertext &dest,
         const auto dig = digits_at(j);
         auto a0 = acc0.span().subspan(j * n, n);
         auto a1 = acc1.span().subspan(j * n, n);
-        const KSwitchKey *kptr = &key;
+        // Key rows for this prime, resolved once: k_rows[2i + c] is
+        // component c of digit i's key under mod_idx.
+        std::vector<const uint64_t *> k_rows(2 * l);
+        for (std::size_t i = 0; i < l; ++i) {
+            k_rows[2 * i] = key.keys[i].component(0, mod_idx).data();
+            k_rows[2 * i + 1] = key.keys[i].component(1, mod_idx).data();
+        }
         const double mad2 = 2.0 * op_cost(CoreOp::MadMod);
         submit_dyadic("ks_inner_product", n, mad2 * static_cast<double>(l),
                       2.0 * static_cast<double>(l) + 4.0,
-                      [=](std::size_t k) {
+                      [=, k_rows = std::move(k_rows)](std::size_t k) {
                           uint64_t s0 = a0[k], s1 = a1[k];
                           for (std::size_t i = 0; i < l; ++i) {
                               const uint64_t d = dig[i * n + k];
-                              const auto k0 =
-                                  kptr->keys[i].component(0, mod_idx);
-                              const auto k1 =
-                                  kptr->keys[i].component(1, mod_idx);
-                              s0 = util::mad_mod(d, k0[k], s0, mj);
-                              s1 = util::mad_mod(d, k1[k], s1, mj);
+                              s0 = util::mad_mod(d, k_rows[2 * i][k], s0, mj);
+                              s1 = util::mad_mod(d, k_rows[2 * i + 1][k], s1,
+                                                 mj);
                           }
                           a0[k] = s0;
                           a1[k] = s1;
