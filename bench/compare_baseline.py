@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
 """Compare a bench JSON run against the checked-in baseline.
 
-Usage: compare_baseline.py BASELINE.json CURRENT.json [--tolerance 0.25]
+Usage: compare_baseline.py BASELINE.json CURRENT.json
 
 Both files use the google-benchmark JSON layout ({"benchmarks": [{"name",
 "real_time", ...}]}).  Every entry in the baseline must exist in the
 current run, and every baseline entry must declare its "direction":
-"higher" (higher is better: regression = current below
-baseline / (1 + tol)) or "lower" (lower is better: regression = current
-above baseline * (1 + tol)).  The metric's name never decides its
-direction; a baseline entry without a valid direction is an error.  A
-zero baseline has no ratio: a lower-is-better metric whose baseline is 0
-fails as soon as the current value is above 0.
+"higher" or "lower" is better.  The metric's name never decides its
+direction; a baseline entry without a valid direction is an error.
 
 The baseline holds only the *deterministic simulated* metrics emitted by
-the fig_* --json benches — wall-clock microbenchmark numbers vary too
-much across CI runners to gate on.
+the fig_* --json benches (wall-clock numbers vary too much across CI
+runners to gate on), and those reproduce bit for bit.  So the gate is
+exact: a metric that moves by more than a relative 1e-9 in *either*
+direction fails, and a zero baseline fails as soon as the current value
+is not 0.  The direction only labels a move as worse or better.  An
+intended change refreshes the baseline (see REFRESH).
 
-Exits 1 on any regression, on any baseline metric missing from the
+Exits 1 on any moved metric, on any baseline metric missing from the
 current run (a deleted bench must not silently disable its gate), and on
 an empty or malformed baseline or current file (a truncated artifact must
 not read as "all 0 metrics within tolerance").  Metrics present in the
@@ -31,6 +31,15 @@ import sys
 
 
 DIRECTIONS = ("higher", "lower")
+# Relative move beyond which a deterministic metric fails.
+EXACT = 1e-9
+REFRESH = (
+    "rerun the six gated fig benches with --json (fig_multitile_batch, "
+    "fig_fusion, fig_serving_latency, fig_program_serving, "
+    "fig_program_compile, fig_multitenant), run "
+    "`python3 bench/merge_bench_json.py --require bench/baseline.json "
+    "<their JSON files>`, and drop the wall-clock "
+    "program_compile/analysis/* entries, which stay ungated")
 
 
 def load_entries(path):
@@ -63,8 +72,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
     parser.add_argument("current")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed relative regression (default 0.25)")
     args = parser.parse_args()
 
     baseline = load_metrics(args.baseline)
@@ -72,7 +79,6 @@ def main():
     current = load_metrics(args.current)
 
     failures = []
-    drifts = []
     print(f"{'metric':<44}{'baseline':>12}{'current':>12}{'ratio':>8}")
     for name, base in sorted(baseline.items()):
         if name not in current:
@@ -81,40 +87,34 @@ def main():
             continue
         cur = current[name]
         if cur == base:
-            ratio = 1.0
-        elif directions[name] == "higher":
-            # cur == 0 on a higher-is-better metric is a total collapse.
-            ratio = base / cur if cur else float("inf")
+            moved = 0.0
         else:
-            # Any rise above a zero lower-is-better baseline fails.
-            ratio = cur / base if base else float("inf")
+            # A zero baseline has no ratio: any non-zero value moved.
+            moved = abs(cur - base) / abs(base) if base else float("inf")
+        ratio = f"{cur / base:>8.3f}" if base else f"{'-':>8}"
         flag = ""
-        if ratio > 1.0 + args.tolerance:
+        if moved > EXACT:
+            better = (cur > base) == (directions[name] == "higher")
+            flag = "  BETTER" if better else "  WORSE"
             failures.append(
-                f"{name}: {base:.3f} -> {cur:.3f} "
-                f"({(ratio - 1.0) * 100.0:.1f}% worse)")
-            flag = "  REGRESSION"
-        elif ratio < 1.0 - args.tolerance:
-            drifts.append(
-                f"{name}: {base:.3f} -> {cur:.3f} (better; refresh baseline?)")
-            flag = "  improved"
-        print(f"{name:<44}{base:>12.3f}{cur:>12.3f}{ratio:>8.3f}{flag}")
+                f"{name}: {base:.6g} -> {cur:.6g} "
+                f"({'better' if better else 'worse'})")
+        print(f"{name:<44}{base:>12.3f}{cur:>12.3f}{ratio}{flag}")
 
-    for d in drifts:
-        print(f"note: {d}")
     ungated = sorted(set(current) - set(baseline))
     if ungated:
         print(f"note: {len(ungated)} metric(s) have no baseline entry "
               f"(not gated): {', '.join(ungated[:8])}"
               f"{', ...' if len(ungated) > 8 else ''}")
     if failures:
-        print(f"\n{len(failures)} regression(s) beyond "
-              f"{args.tolerance * 100.0:.0f}% tolerance:", file=sys.stderr)
+        print(f"\n{len(failures)} deterministic metric(s) differ from the "
+              f"baseline (relative {EXACT:g}):", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
+        print(f"If the change is intended, refresh the baseline: {REFRESH}.",
+              file=sys.stderr)
         return 1
-    print(f"\nall {len(baseline)} metrics within "
-          f"{args.tolerance * 100.0:.0f}% of baseline")
+    print(f"\nall {len(baseline)} metrics match the baseline exactly")
     return 0
 
 

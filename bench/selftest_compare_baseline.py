@@ -4,11 +4,12 @@
 Usage: selftest_compare_baseline.py BASELINE.json
 
 Checks, in-process against copies of the real baseline:
-  * the baseline compared with itself passes;
+  * the baseline compared with itself (an identical run) passes;
   * for each direction, every metric of that direction regressed 2x the
-    wrong way at once fails the gate, and improved 2x passes;
-  * each metric with a non-zero baseline, regressed 2x alone in its
-    declared direction, fails the gate;
+    wrong way at once fails the gate, and so does improved 2x: the gated
+    metrics are deterministic, so the gate is exact;
+  * each metric with a non-zero baseline fails the gate when it alone
+    regresses 2x, moves up 1% or moves down 1%;
   * a lower-is-better metric with a zero baseline fails once it rises
     above 0 and passes while it stays 0 (checked on the real baseline's
     zero entries and on a synthetic one);
@@ -38,7 +39,7 @@ def gate(tmp, baseline, current):
         with open(path, "w") as f:
             json.dump(doc, f)
         paths.append(path)
-    sys.argv = ["compare_baseline.py", *paths, "--tolerance", "0.25"]
+    sys.argv = ["compare_baseline.py", *paths]
     sink = io.StringIO()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -82,19 +83,21 @@ def main():
             improved = scaled(
                 baseline, lambda b: 1.0 / worse(direction)
                 if b["direction"] == direction else 1.0)
-            if gate(tmp, baseline, improved) != 0:
+            if gate(tmp, baseline, improved) != 1:
                 failures.append(f"{direction}-better metrics improved 2x "
-                                "failed the gate")
+                                "passed the exact gate")
 
         for entry in baseline["benchmarks"]:
             if entry["real_time"] == 0:
                 continue  # zero baselines: checked below
             name = entry["name"]
-            regressed = scaled(
-                baseline, lambda b: worse(b["direction"])
-                if b["name"] == name else 1.0)
-            if gate(tmp, baseline, regressed) != 1:
-                failures.append(f"{name} regressed 2x alone passed the gate")
+            for label, factor in (("regressed 2x", worse(entry["direction"])),
+                                  ("moved up 1%", 1.01),
+                                  ("moved down 1%", 0.99)):
+                moved = scaled(baseline, lambda b: factor
+                               if b["name"] == name else 1.0)
+                if gate(tmp, baseline, moved) != 1:
+                    failures.append(f"{name} {label} alone passed the gate")
 
         with_zero = copy.deepcopy(baseline)
         with_zero["benchmarks"].append(

@@ -4,9 +4,22 @@
 // the GPU evaluator (src/xehe) is validated against.
 #pragma once
 
+#include <cmath>
+
 #include "ckks/encryptor.h"
 
 namespace xehe::ckks {
+
+/// Relative distance within which add, sub and add_plain accept two
+/// operand scales as equal.
+inline constexpr double kScaleTolerance = 1e-6;
+
+/// The evaluators' scale-acceptance test.  The compiler's planner and the
+/// analyzer call it on the same doubles, so their decisions match the
+/// evaluators' bit for bit.
+inline bool scales_match(double a, double b) {
+    return std::abs(a / b - 1.0) < kScaleTolerance;
+}
 
 class Evaluator {
 public:

@@ -1,8 +1,8 @@
 #include "he/analyze.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <array>
 #include <limits>
 
 #include "ckks/galois.h"
@@ -13,8 +13,6 @@ namespace xehe::he {
 
 namespace {
 
-/// The evaluators' relative scale-equality gate at Add/Sub/AddPlain.
-constexpr double kScaleEqualTol = 1e-6;
 /// Size bound for inputs the caller knows nothing about.
 constexpr std::size_t kSizeUnknownMax = 64;
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -31,20 +29,15 @@ bool levels_disjoint(const ValueFacts &a, const ValueFacts &b) {
     return a.level_max < b.level_min || b.level_max < a.level_min;
 }
 
-/// The evaluators' acceptance test on two concrete scales — the same
-/// double expression, so point-interval decisions match bitwise.
-bool scales_accept(double a, double b) {
-    return std::abs(a / b - 1.0) < kScaleEqualTol;
-}
-
-/// True when no scale in `a`'s interval can pass the gate against any
-/// scale in `b`'s interval (a must-fail).
+/// True when no scale in `a`'s interval can pass the evaluators' gate
+/// against any scale in `b`'s interval (a must-fail).  Point intervals
+/// run the evaluators' own test on the same doubles.
 bool scale_must_mismatch(const ValueFacts &a, const ValueFacts &b) {
     if (a.scale_exact() && b.scale_exact()) {
-        return !scales_accept(a.scale_lo, b.scale_lo);
+        return !ckks::scales_match(a.scale_lo, b.scale_lo);
     }
-    return a.scale_hi < b.scale_lo * (1.0 - kScaleEqualTol) ||
-           a.scale_lo > b.scale_hi * (1.0 + kScaleEqualTol);
+    return a.scale_hi < b.scale_lo * (1.0 - ckks::kScaleTolerance) ||
+           a.scale_lo > b.scale_hi * (1.0 + ckks::kScaleTolerance);
 }
 
 /// Interval product that avoids 0 * inf = NaN at the unknown extremes.
@@ -58,32 +51,33 @@ std::size_t drop_min(std::size_t level_min) {
     return std::max<std::size_t>(level_min, 2) - 1;
 }
 
-/// Per-op facts the walk needs before the op switch, folded into one
-/// table load: predicate chains over a random op stream mispredict, and
-/// the walk pays them once per node.
-struct OpTraits {
-    uint8_t binary;      ///< op_code_arity(op) == 2
-    uint8_t tolerates3;  ///< size-3 operand is a warning, not an error
-    uint8_t mult;        ///< counts toward multiplicative depth
+/// The kOpTable columns the fact walk tests per node, packed into a
+/// ten-byte row derived from kOpTable (not restated): the admission walk
+/// measured slower reading them from the wide row.
+struct WalkRow {
+    Operand second;
+    uint8_t size_in;
+    uint8_t size_out;
+    LevelRule level;
+    ScaleRule scale;
+    KeyNeed key;
+    bool align;
+    bool mult;
+    bool imm;
+    bool scale_gate;
+
+    bool binary() const noexcept { return second != Operand::None; }
 };
 
-constexpr OpTraits traits_of(OpCode op) {
-    OpTraits t{};
-    t.binary = op_code_arity(op) == 2;
-    // Hard size-2/size-3 requirements (errors, not warnings).
-    t.tolerates3 = !(op == OpCode::Multiply || op == OpCode::Square ||
-                     op == OpCode::Relinearize || op == OpCode::Rotate ||
-                     op == OpCode::Conjugate);
-    t.mult = op == OpCode::Multiply || op == OpCode::Square;
-    return t;
-}
-
-constexpr auto kOpTraits = [] {
-    std::array<OpTraits, kMaxOpCode + 1> table{};
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        table[i] = traits_of(static_cast<OpCode>(i));
+constexpr auto kWalkRows = [] {
+    std::array<WalkRow, std::size(kOpTable)> rows{};
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const OpInfo &op = kOpTable[i];
+        rows[i] = {op.second, op.size_in, op.size_out, op.level,
+                   op.scale,  op.key,     op.align,    op.mult(),
+                   op.imm,    op.scale_gate};
     }
-    return table;
+    return rows;
 }();
 
 /// Out-of-line and cold: diagnostics are the exceptional path, and the
@@ -126,6 +120,15 @@ const char *diag_kind_name(DiagKind kind) {
 
 InputFacts facts_of(const Cipher &cipher) {
     return {cipher.size(), cipher.level(), cipher.scale()};
+}
+
+InputFacts planned_input_facts(const ckks::CkksContext &context,
+                               std::size_t level, double scale) {
+    const std::size_t max_level = context.max_level();
+    return {2, level > 0 ? std::min(level, max_level) : max_level,
+            scale > 0.0 ? scale
+                        : static_cast<double>(
+                              context.key_modulus()[max_level - 1].value())};
 }
 
 void AnalyzerOptions::set_keys(const ProgramKeys &keys) {
@@ -192,10 +195,7 @@ AnalysisReport ProgramAnalyzer::analyze(const Program &p,
 }
 
 AnalysisReport ProgramAnalyzer::analyze(const Program &p) const {
-    return analyze(
-        p, context_->max_level(),
-        static_cast<double>(
-            context_->key_modulus()[context_->max_level() - 1].value()));
+    return analyze(p, planned_input_facts(*context_));
 }
 
 AnalysisReport ProgramAnalyzer::analyze(
@@ -303,7 +303,7 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
             }
             const Program::Node &n = p.nodes[i];
             vals[n.a].live = true;
-            if (kOpTraits[static_cast<uint8_t>(n.op)].binary != 0) {
+            if (op_code_arity(n.op) == 2) {
                 vals[n.b].live = true;
             }
         }
@@ -324,12 +324,19 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
         return rotate_elt;
     };
 
+    // No aligned-mode error depends on a scale, so an errors-only aligned
+    // walk (the admission front door) derives no scale facts.
+    const bool skip_scales = aligned && options_.errors_only;
+    // Without key facts no key check can fail.
+    const bool key_facts =
+        options_.relin_keys.has_value() || options_.relin_levels.has_value() ||
+        options_.galois_keys.has_value() || options_.galois_elts.has_value();
     const ValueFacts no_operand{};
     for (std::size_t i = 0; i < p.nodes.size(); ++i) {
         const Program::Node &node = p.nodes[i];
         const uint32_t nid = static_cast<uint32_t>(i);
-        const OpTraits traits = kOpTraits[static_cast<uint8_t>(node.op)];
-        const bool binary = traits.binary != 0;
+        const WalkRow info = kWalkRows[static_cast<uint8_t>(node.op)];
+        const bool binary = info.binary();
         // References, not copies: operands strictly precede the result
         // slot (validate() guarantees node.a, node.b < node_base + i),
         // so writing `out` in place never aliases A or B.
@@ -386,16 +393,16 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
                       node.op, msg);
         };
 
-        if (!out.live) {
-            // With errors_only the live bits may still be lazily unset,
-            // but warn() drops DeadNode there anyway.
-            warn(DiagKind::DeadNode, "result never reaches an output");
-        }
-        if (traits.tolerates3 != 0 &&
-            (A.size_min >= 3 ||
-             (binary && !p.is_constant(node.b) && B.size_min >= 3))) {
-            warn(DiagKind::OversizeCipher,
-                 "size-3 ciphertext flows on without relinearization");
+        if (!options_.errors_only) {
+            if (!out.live) {
+                warn(DiagKind::DeadNode, "result never reaches an output");
+            }
+            if (info.size_in == 0 &&
+                (A.size_min >= 3 ||
+                 (binary && !p.is_constant(node.b) && B.size_min >= 3))) {
+                warn(DiagKind::OversizeCipher,
+                     "size-3 ciphertext flows on without relinearization");
+            }
         }
 
         // Default result facts: unary pass-through of the first operand.
@@ -407,7 +414,7 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
         out.scale_hi = A.scale_hi;
         out.depth = 1 + std::max(A.depth, binary ? B.depth : 0);
         out.mult_depth =
-            std::max(A.mult_depth, binary ? B.mult_depth : 0) + traits.mult;
+            std::max(A.mult_depth, binary ? B.mult_depth : 0) + info.mult;
 
         // Binary cipher ops whose success implies equal operand levels:
         // intersect (strict) or planner-aligned min-combine.
@@ -449,226 +456,185 @@ AnalysisReport ProgramAnalyzer::analyze_impl(
                 std::max<std::size_t>(plain.rns, 1);
         };
 
-        switch (node.op) {
-            case OpCode::Add:
-            case OpCode::Sub: {
-                if (sizes_disjoint(A, B)) {
-                    error(DiagKind::SizeMismatch,
-                          "operand sizes can never agree; relinearize "
-                          "before adding");
-                }
-                if (levels_disjoint(A, B)) {
-                    strict_error(DiagKind::LevelMismatch,
-                                 "operand levels can never agree");
-                }
-                if (scale_must_mismatch(A, B)) {
-                    strict_error(DiagKind::ScaleMismatch,
-                                 "operand scales can never pass the "
-                                 "evaluator's 1e-6 gate");
-                }
-                const std::size_t smin = std::max(A.size_min, B.size_min);
-                const std::size_t smax = std::min(A.size_max, B.size_max);
-                if (smin <= smax) {
-                    out.size_min = smin;
-                    out.size_max = smax;
-                }
-                combine_levels();
-                if (aligned) {
-                    // The planner may adopt either side's scale.
-                    out.scale_lo = std::min(A.scale_lo, B.scale_lo);
-                    out.scale_hi = std::max(A.scale_hi, B.scale_hi);
-                }  // strict: the result carries the first operand's scale
-                break;
+        // The op's own size need.
+        if (info.size_in != 0) {
+            if (!size_can_be(A, info.size_in) ||
+                (info.second == Operand::Cipher &&
+                 !size_can_be(B, info.size_in))) {
+                error(DiagKind::SizeMismatch, op_info(node.op).violation);
             }
-            case OpCode::Negate:
-                break;
-            case OpCode::AddPlain: {
-                const ckks::Plaintext &plain =
-                    p.constants[node.b - const_base];
-                check_plain_level(plain);
-                if (scale_must_mismatch(A, B)) {
+        }
+        if (info.size_out != 0) {
+            out.size_min = out.size_max = info.size_out;
+        }
+
+        // Operand relations, under the strict or the aligned interval
+        // rules.
+        switch (info.second) {
+            case Operand::Plain:
+                check_plain_level(p.constants[node.b - const_base]);
+                if (info.scale_gate && !aligned &&
+                    scale_must_mismatch(A, B)) {
                     strict_error(DiagKind::ScaleMismatch,
                                  "cipher scale can never match the "
                                  "constant's within 1e-6");
                 }
                 break;
-            }
-            case OpCode::MultiplyPlain: {
-                const ckks::Plaintext &plain =
-                    p.constants[node.b - const_base];
-                check_plain_level(plain);
-                out.scale_lo = interval_mul(A.scale_lo, plain.scale);
-                out.scale_hi = interval_mul(A.scale_hi, plain.scale);
-                break;
-            }
-            case OpCode::Multiply: {
-                if (!size_can_be(A, 2) || !size_can_be(B, 2)) {
-                    error(DiagKind::SizeMismatch,
-                          "multiply expects size-2 operands; relinearize "
-                          "first");
+            case Operand::Cipher:
+                if (info.level == LevelRule::AddendAbove) {
+                    // a + mod_switch(c): raw, the operands need only
+                    // agree in size; the planner plans the fused tail
+                    // for size 2 only.
+                    if (aligned) {
+                        if (!size_can_be(A, 2) || !size_can_be(B, 2)) {
+                            error(DiagKind::SizeMismatch,
+                                  "expects size-2 operands");
+                        }
+                    } else if (sizes_disjoint(A, B)) {
+                        strict_error(DiagKind::SizeMismatch,
+                                     "operand sizes can never agree");
+                    }
+                    if (!aligned && (B.level_max < A.level_min + 1 ||
+                                     B.level_min > A.level_max + 1)) {
+                        strict_error(DiagKind::LevelMismatch,
+                                     "addend must sit exactly one level "
+                                     "above the accumulator");
+                    }
+                    break;
                 }
-                if (levels_disjoint(A, B)) {
+                if (info.size_in == 0) {
+                    // No size need of its own: the sizes must agree.
+                    if (sizes_disjoint(A, B)) {
+                        error(DiagKind::SizeMismatch,
+                              "operand sizes can never agree; relinearize "
+                              "before adding");
+                    }
+                    const std::size_t smin = std::max(A.size_min, B.size_min);
+                    const std::size_t smax = std::min(A.size_max, B.size_max);
+                    if (smin <= smax) {
+                        out.size_min = smin;
+                        out.size_max = smax;
+                    }
+                }
+                if (!aligned && levels_disjoint(A, B)) {
                     strict_error(DiagKind::LevelMismatch,
                                  "operand levels can never agree");
                 }
-                out.size_min = out.size_max = 3;
                 combine_levels();
-                out.scale_lo = interval_mul(A.scale_lo, B.scale_lo);
-                out.scale_hi = interval_mul(A.scale_hi, B.scale_hi);
-                break;
-            }
-            case OpCode::Square: {
-                if (!size_can_be(A, 2)) {
-                    error(DiagKind::SizeMismatch,
-                          "square expects a size-2 operand; relinearize "
-                          "first");
-                }
-                out.size_min = out.size_max = 3;
-                out.scale_lo = interval_mul(A.scale_lo, A.scale_lo);
-                out.scale_hi = interval_mul(A.scale_hi, A.scale_hi);
-                break;
-            }
-            case OpCode::Relinearize: {
-                if (!size_can_be(A, 3)) {
-                    error(DiagKind::SizeMismatch,
-                          "relinearize expects a size-3 ciphertext");
-                }
-                if (options_.relin_keys == false) {
-                    error(DiagKind::MissingKey,
-                          "program needs relinearization keys");
-                } else if (options_.relin_levels.has_value() &&
-                           A.level_min > *options_.relin_levels) {
-                    error_num(DiagKind::MissingKey,
-                              "relinearization key too short for level ",
-                              A.level_min);
-                }
-                out.size_min = out.size_max = 2;
-                break;
-            }
-            case OpCode::Rescale: {
-                if (A.level_max < 2) {
-                    error(DiagKind::LevelUnderflow,
-                          "cannot rescale at the last level");
-                }
-                out.level_min = drop_min(A.level_min);
-                out.level_max = drop_min(A.level_max);
-                if (A.level_exact() && A.level_min >= 2 &&
-                    std::size_t{A.level_min} - 1 <
-                        context_->key_modulus().size()) {
-                    const double q = static_cast<double>(
-                        context_->key_modulus()[A.level_min - 1].value());
-                    out.scale_lo = A.scale_lo / q;
-                    out.scale_hi = A.scale_hi / q;
-                } else {
-                    out.scale_lo = 0.0;
-                    out.scale_hi = kInf;
-                }
-                if (options_.snap_scale > 0.0 && out.scale_exact() &&
-                    out.scale_lo > 0.0) {
-                    const double ratio = out.scale_lo / options_.snap_scale;
-                    if (std::abs(ratio - 1.0) > options_.snap_tolerance &&
-                        std::abs(1.0 / ratio - 1.0) >
-                            options_.snap_tolerance) {
-                        warn(DiagKind::ScaleDrift,
-                             "rescale result drifts outside the snap "
-                             "range of the session scale");
+                if (info.scale_gate) {
+                    if (aligned) {
+                        // The planner may adopt either side's scale.
+                        out.scale_lo = std::min(A.scale_lo, B.scale_lo);
+                        out.scale_hi = std::max(A.scale_hi, B.scale_hi);
+                    } else if (scale_must_mismatch(A, B)) {
+                        strict_error(DiagKind::ScaleMismatch,
+                                     "operand scales can never pass the "
+                                     "evaluator's 1e-6 gate");
                     }
                 }
                 break;
-            }
-            case OpCode::ModSwitch:
-            case OpCode::ModSwitchAdopt: {
-                if (A.level_max < 2) {
-                    strict_error(DiagKind::LevelUnderflow,
-                                 "cannot switch below one prime");
+            default: break;
+        }
+
+        // The level drop.  The planner may strip an alignment op
+        // outright: its underflow is repairable, and in aligned mode its
+        // level may not drop at all.
+        if (info.level == LevelRule::Drop) {
+            if (A.level_max < 2) {
+                const char *msg = op_info(node.op).violation;
+                if (info.align) {
+                    strict_error(DiagKind::LevelUnderflow, msg);
+                } else {
+                    error(DiagKind::LevelUnderflow, msg);
                 }
-                // The planner may strip this node outright, so in
-                // aligned mode the level may not drop at all.
-                out.level_min = drop_min(A.level_min);
-                out.level_max = aligned ? A.level_max : drop_min(A.level_max);
-                if (node.op == OpCode::ModSwitchAdopt) {
-                    // Adopts the ref's scale metadata when it is > 0.
-                    if (B.scale_exact()) {
-                        if (B.scale_lo > 0.0) {
-                            out.scale_lo = B.scale_lo;
-                            out.scale_hi = B.scale_hi;
-                        }
+            }
+            out.level_min = drop_min(A.level_min);
+            out.level_max =
+                aligned && info.align ? A.level_max : drop_min(A.level_max);
+        }
+
+        // Scale transfer.
+        if (!skip_scales) {
+            switch (info.scale) {
+                case ScaleRule::Keep: break;
+                case ScaleRule::Times:
+                    out.scale_lo = interval_mul(A.scale_lo, B.scale_lo);
+                    out.scale_hi = interval_mul(A.scale_hi, B.scale_hi);
+                    break;
+                case ScaleRule::Square:
+                    out.scale_lo = interval_mul(A.scale_lo, A.scale_lo);
+                    out.scale_hi = interval_mul(A.scale_hi, A.scale_hi);
+                    break;
+                case ScaleRule::DivPrime:
+                    if (A.level_exact() && A.level_min >= 2 &&
+                        std::size_t{A.level_min} - 1 <
+                            context_->key_modulus().size()) {
+                        const double q = static_cast<double>(
+                            context_->key_modulus()[A.level_min - 1].value());
+                        out.scale_lo = A.scale_lo / q;
+                        out.scale_hi = A.scale_hi / q;
                     } else {
+                        out.scale_lo = 0.0;
+                        out.scale_hi = kInf;
+                    }
+                    if (options_.snap_scale > 0.0 && out.scale_exact() &&
+                        out.scale_lo > 0.0) {
+                        const double ratio = out.scale_lo / options_.snap_scale;
+                        if (std::abs(ratio - 1.0) > options_.snap_tolerance &&
+                            std::abs(1.0 / ratio - 1.0) >
+                                options_.snap_tolerance) {
+                            warn(DiagKind::ScaleDrift,
+                                 "rescale result drifts outside the snap "
+                                 "range of the session scale");
+                        }
+                    }
+                    break;
+                case ScaleRule::Adopt:
+                    // AdoptScale sets the ref's scale outright; ModSwitchAdopt
+                    // (Backend::mod_switch) adopts it only when it is > 0.
+                    if (node.op == OpCode::AdoptScale ||
+                        (B.scale_exact() && B.scale_lo > 0.0)) {
+                        out.scale_lo = B.scale_lo;
+                        out.scale_hi = B.scale_hi;
+                    } else if (!B.scale_exact()) {
                         out.scale_lo = std::min(A.scale_lo, B.scale_lo);
                         out.scale_hi = std::max(A.scale_hi, B.scale_hi);
                     }
-                }
-                break;
+                    break;
             }
-            case OpCode::AdoptScale: {
-                out.scale_lo = B.scale_lo;
-                out.scale_hi = B.scale_hi;
-                break;
+        }
+
+        // Keys.
+        if (!key_facts) {
+        } else if (info.key == KeyNeed::Relin) {
+            if (options_.relin_keys == false) {
+                error(DiagKind::MissingKey,
+                      "program needs relinearization keys");
+            } else if (options_.relin_levels.has_value() &&
+                       A.level_min > *options_.relin_levels) {
+                error_num(DiagKind::MissingKey,
+                          "relinearization key too short for level ",
+                          A.level_min);
             }
-            case OpCode::ModSwitchAdd: {
-                // a + mod_switch(c): c must sit exactly one level above
-                // a, with matching sizes (the planner additionally
-                // requires size 2 on both).
-                if (aligned) {
-                    if (!size_can_be(A, 2) || !size_can_be(B, 2)) {
-                        error(DiagKind::SizeMismatch,
-                              "expects size-2 operands");
-                    }
-                } else if (sizes_disjoint(A, B)) {
-                    strict_error(DiagKind::SizeMismatch,
-                                 "operand sizes can never agree");
-                }
-                if (!aligned &&
-                    (B.level_max < A.level_min + 1 ||
-                     B.level_min > A.level_max + 1)) {
-                    strict_error(DiagKind::LevelMismatch,
-                                 "addend must sit exactly one level above "
-                                 "the accumulator");
-                }
-                // Result carries the accumulator's metadata.
-                break;
-            }
-            case OpCode::Rotate: {
-                if (!size_can_be(A, 2)) {
-                    error(DiagKind::SizeMismatch,
-                          "rotate expects a size-2 ciphertext");
-                }
-                if (options_.galois_keys == false) {
-                    error(DiagKind::MissingKey,
-                          "program needs galois keys");
-                } else if (options_.galois_elts.has_value()) {
+        } else if (info.key == KeyNeed::Galois) {
+            if (options_.galois_keys == false) {
+                error(DiagKind::MissingKey, "program needs galois keys");
+            } else if (options_.galois_elts.has_value()) {
+                const auto &elts = *options_.galois_elts;
+                if (info.imm) {
                     const uint64_t elt = elt_of(node.imm);
-                    if (elt != 1 &&
-                        std::find(options_.galois_elts->begin(),
-                                  options_.galois_elts->end(),
-                                  elt) == options_.galois_elts->end()) {
+                    if (elt != 1 && std::find(elts.begin(), elts.end(),
+                                              elt) == elts.end()) {
                         error_num(DiagKind::MissingRotation,
                                   "no galois key for rotation step ",
                                   node.imm);
                     }
+                } else if (std::find(elts.begin(), elts.end(),
+                                     galois_tool.conjugation_elt()) ==
+                           elts.end()) {
+                    error(DiagKind::MissingRotation,
+                          "no galois key for conjugation");
                 }
-                out.size_min = out.size_max = 2;
-                break;
-            }
-            case OpCode::Conjugate: {
-                if (!size_can_be(A, 2)) {
-                    error(DiagKind::SizeMismatch,
-                          "conjugate expects a size-2 ciphertext");
-                }
-                if (options_.galois_keys == false) {
-                    error(DiagKind::MissingKey,
-                          "program needs galois keys");
-                } else if (options_.galois_elts.has_value()) {
-                    const uint64_t elt = galois_tool.conjugation_elt();
-                    if (std::find(options_.galois_elts->begin(),
-                                  options_.galois_elts->end(),
-                                  elt) == options_.galois_elts->end()) {
-                        error(DiagKind::MissingRotation,
-                              "no galois key for conjugation");
-                    }
-                }
-                out.size_min = out.size_max = 2;
-                break;
             }
         }
     }

@@ -14,10 +14,11 @@
 // program is guaranteed to throw when executed (the interpreter runs all
 // nodes in order; the first must-fail node reached throws).  With exact
 // input facts (strict mode, point intervals) the analysis is also
-// complete: it mirrors the evaluators' preconditions expression-for-
-// expression (including the |a/b - 1| < 1e-6 scale test on the same
-// doubles), so accept <=> clean execution — the property
-// tests/test_he_compiler_fuzz.cpp holds differentially.
+// complete: it applies he::kOpTable's size, level, scale and key rules
+// and the evaluators' own scale test (ckks::scales_match) to the same
+// doubles, so accept <=> clean execution — the property
+// tests/test_he_compiler_fuzz.cpp holds differentially, and
+// tests/test_he_analyze.cpp checks each op's facts against execution.
 //
 // Two modes:
 //  * strict (default): facts mirror the raw interpreter.  Use with exact
@@ -86,6 +87,12 @@ struct InputFacts {
 /// Exact facts of a live handle.
 InputFacts facts_of(const Cipher &cipher);
 
+/// The input assumptions ProgramCompiler plans against: size 2, `level`
+/// clamped to the chain (0 = its max level), `scale` (0 = the session
+/// default, the value of the last data prime).
+InputFacts planned_input_facts(const ckks::CkksContext &context,
+                               std::size_t level = 0, double scale = 0.0);
+
 /// Interval facts the analyzer derives per program value.  Fields are
 /// the narrowest sound types, not size_t: sizes are <= 64, levels fit a
 /// modulus chain (<= 255), depths are bounded by the node limit
@@ -129,7 +136,9 @@ struct AnalyzerOptions {
     /// per request is pure overhead there.  Liveness goes lazy too: the
     /// backward pass runs only if an error needs it (aligned mode must
     /// suppress errors on DCE-dead nodes), so on a clean accept the
-    /// report's `values[].live` bits are left unset.
+    /// report's `values[].live` bits are left unset.  With
+    /// assume_alignment also set, no error depends on a scale, so the
+    /// walk derives none: node values' scale facts are unspecified.
     bool errors_only = false;
 
     /// nullopt = unknown (assume present): relinearization keys, and the

@@ -13,19 +13,9 @@ namespace xehe::he {
 
 namespace {
 
-/// The evaluators accept scales within this relative distance at add /
-/// add_plain; the planner treats such scales as already aligned (so a
-/// raw-valid program plans with zero insertions).
-constexpr double kScaleEqualTol = 1e-6;
-
 [[noreturn]] void fail(std::size_t node, OpCode op, const std::string &what) {
     throw std::invalid_argument("he: compiler: node " + std::to_string(node) +
                                 " (" + op_code_name(op) + "): " + what);
-}
-
-bool is_align_op(OpCode op) {
-    return op == OpCode::ModSwitch || op == OpCode::ModSwitchAdopt ||
-           op == OpCode::AdoptScale;
 }
 
 /// Symbolic ciphertext metadata.  The scale arithmetic mirrors the
@@ -38,38 +28,30 @@ struct Meta {
     double scale = 0.0;
 };
 
-bool scales_equal(double a, double b) {
-    return std::abs(a / b - 1.0) < kScaleEqualTol;
-}
-
-/// Metadata transfer function of one node over already-final operands.
-Meta step(const Program &p, const Program::Node &node, const Meta &a,
-          const Meta &b, const ckks::CkksContext &ctx) {
-    switch (node.op) {
-        case OpCode::Add:
-        case OpCode::Sub:
-        case OpCode::Negate:
-        case OpCode::AddPlain:
-        case OpCode::ModSwitchAdd: return a;
-        case OpCode::MultiplyPlain: {
-            const ckks::Plaintext &plain =
-                p.constants[node.b - p.num_inputs];
-            return {a.size, a.level, a.scale * plain.scale};
-        }
-        case OpCode::Multiply: return {3, a.level, a.scale * b.scale};
-        case OpCode::Square: return {3, a.level, a.scale * a.scale};
-        case OpCode::Relinearize: return {2, a.level, a.scale};
-        case OpCode::Rescale:
-            return {a.size, a.level - 1,
-                    a.scale / static_cast<double>(
-                                  ctx.key_modulus()[a.level - 1].value())};
-        case OpCode::ModSwitch: return {a.size, a.level - 1, a.scale};
-        case OpCode::ModSwitchAdopt: return {a.size, a.level - 1, b.scale};
-        case OpCode::AdoptScale: return {a.size, a.level, b.scale};
-        case OpCode::Rotate:
-        case OpCode::Conjugate: return {2, a.level, a.scale};
+/// Metadata transfer of one op over already-final operands (kOpTable's
+/// size, level and scale rules; `b` is the second operand's metadata,
+/// constants included).
+Meta step(OpCode op, const Meta &a, const Meta &b,
+          const ckks::CkksContext &ctx) {
+    const OpInfo &info = op_info(op);
+    Meta out = a;
+    if (info.size_out != 0) {
+        out.size = info.size_out;
     }
-    return a;
+    if (info.level == LevelRule::Drop) {
+        out.level = a.level - 1;
+    }
+    switch (info.scale) {
+        case ScaleRule::Keep: break;
+        case ScaleRule::Times: out.scale = a.scale * b.scale; break;
+        case ScaleRule::Square: out.scale = a.scale * a.scale; break;
+        case ScaleRule::DivPrime:
+            out.scale = a.scale / static_cast<double>(
+                                      ctx.key_modulus()[a.level - 1].value());
+            break;
+        case ScaleRule::Adopt: out.scale = b.scale; break;
+    }
+    return out;
 }
 
 /// Best-effort metadata for every value of `p` (used by canonicalize to
@@ -94,13 +76,11 @@ std::vector<Meta> simulate(const Program &p, const ckks::CkksContext &ctx,
         const Meta b =
             op_code_arity(node.op) == 2 ? meta[node.b] : Meta{};
         if (a.level == 0 ||
-            ((node.op == OpCode::Rescale || node.op == OpCode::ModSwitch ||
-              node.op == OpCode::ModSwitchAdopt) &&
-             a.level < 2)) {
+            (op_info(node.op).level == LevelRule::Drop && a.level < 2)) {
             meta[node_base + i] = a;  // bottomed out; keep going
             continue;
         }
-        meta[node_base + i] = step(p, node, a, b, ctx);
+        meta[node_base + i] = step(node.op, a, b, ctx);
     }
     return meta;
 }
@@ -259,18 +239,11 @@ public:
         out_.constants = in_.constants;
         remap_.assign(in_.value_count(), 0);
         meta_.assign(node_base_, Meta{});
-        const std::size_t input_level =
-            opt_.input_level > 0
-                ? std::min(opt_.input_level, ctx_.max_level())
-                : ctx_.max_level();
-        const double input_scale =
-            opt_.input_scale > 0.0
-                ? opt_.input_scale
-                : static_cast<double>(
-                      ctx_.key_modulus()[ctx_.max_level() - 1].value());
+        const InputFacts input =
+            planned_input_facts(ctx_, opt_.input_level, opt_.input_scale);
         for (uint32_t v = 0; v < in_.num_inputs; ++v) {
             remap_[v] = v;
-            meta_[v] = {2, input_level, input_scale};
+            meta_[v] = {input.size, input.level, input.scale};
         }
         for (std::size_t c = 0; c < in_.constants.size(); ++c) {
             const uint32_t v = in_.num_inputs + static_cast<uint32_t>(c);
@@ -304,7 +277,7 @@ private:
             }
         }
         for (std::size_t i = in_.nodes.size(); i-- > 0;) {
-            if (!is_align_op(in_.nodes[i].op) || pinned[i]) {
+            if (!op_info(in_.nodes[i].op).align || pinned[i]) {
                 continue;
             }
             strippable_[i] = 1;
@@ -318,6 +291,7 @@ private:
             changed = false;
             for (std::size_t i = 0; i < in_.nodes.size(); ++i) {
                 const Program::Node &node = in_.nodes[i];
+                const OpInfo &info = op_info(node.op);
                 const auto consume = [&](uint32_t v, bool safe) {
                     if (v < node_base_) {
                         return;
@@ -328,13 +302,13 @@ private:
                         changed = true;
                     }
                 };
+                // Scale-gated cipher pairs (Add/Sub) re-derive alignment
+                // against their partner.
                 const bool linear =
-                    node.op == OpCode::Add || node.op == OpCode::Sub;
-                const bool align_primary =
-                    is_align_op(node.op) && strippable_[i];
+                    info.scale_gate && info.second == Operand::Cipher;
+                const bool align_primary = info.align && strippable_[i];
                 consume(node.a, linear || align_primary);
-                if (op_code_arity(node.op) == 2 &&
-                    !in_.is_constant(node.b)) {
+                if (info.arity() == 2 && !in_.is_constant(node.b)) {
                     consume(node.b, linear);
                 }
             }
@@ -347,10 +321,8 @@ private:
         node.a = a;
         node.b = op_code_arity(op) == 2 ? b : 0;
         node.imm = imm;
-        const Meta mb = op_code_arity(op) == 2 && !out_.is_constant(node.b)
-                            ? meta_[node.b]
-                            : Meta{};
-        meta_.push_back(step(out_, node, meta_[a], mb, ctx_));
+        const Meta mb = op_code_arity(op) == 2 ? meta_[node.b] : Meta{};
+        meta_.push_back(step(op, meta_[a], mb, ctx_));
         out_.nodes.push_back(node);
         return node_base_ + static_cast<uint32_t>(out_.nodes.size()) - 1;
     }
@@ -396,92 +368,72 @@ private:
             return;
         }
 
+        const OpInfo &info = op_info(node.op);
         uint32_t x = remap_[node.a];
-        uint32_t y = op_code_arity(node.op) == 2 ? remap_[node.b] : 0;
+        uint32_t y = info.arity() == 2 ? remap_[node.b] : 0;
         const std::size_t episode = out_.nodes.size();
-        switch (node.op) {
-            case OpCode::Add:
-            case OpCode::Sub: {
-                if (meta_[x].size != meta_[y].size) {
-                    fail(i, node.op, "operand sizes differ; relinearize "
-                                     "before adding");
-                }
-                if (meta_[x].level > meta_[y].level) {
-                    x = lower(x, meta_[y].level, i, node.op);
-                } else if (meta_[y].level > meta_[x].level) {
-                    y = lower(y, meta_[x].level, i, node.op);
-                }
-                if (!scales_equal(meta_[x].scale, meta_[y].scale)) {
-                    const double ratio = meta_[x].scale / meta_[y].scale;
-                    if (std::abs(ratio - 1.0) > opt_.snap_tolerance &&
-                        std::abs(1.0 / ratio - 1.0) > opt_.snap_tolerance) {
-                        fail(i, node.op,
-                             "operand scale gap (ratio " +
-                                 std::to_string(ratio) +
-                                 ") exceeds the snap tolerance");
-                    }
-                    // Adopt on the side this episode lowered (its nodes
-                    // are fresh), else on the second operand.
-                    if (x >= node_base_ &&
-                        x - node_base_ >= episode) {
-                        x = adopt(x, y, episode);
-                    } else {
-                        y = adopt(y, x, episode);
-                    }
-                }
-                break;
+        // Size needs no repair can meet, checked on cipher pairs only
+        // (the fused ModSwitchAdd tail is planned for size 2).
+        if (node.op == OpCode::ModSwitchAdd) {
+            if (meta_[x].size != 2 || meta_[y].size != 2) {
+                fail(i, node.op, "expects size-2 operands");
             }
-            case OpCode::Multiply: {
-                if (meta_[x].size != 2 || meta_[y].size != 2) {
-                    fail(i, node.op, "multiply expects size-2 operands; "
-                                     "relinearize first");
-                }
-                if (meta_[x].level > meta_[y].level) {
-                    x = lower(x, meta_[y].level, i, node.op);
-                } else if (meta_[y].level > meta_[x].level) {
-                    y = lower(y, meta_[x].level, i, node.op);
-                }
-                break;
+        } else if (info.second == Operand::Cipher && info.size_in != 0) {
+            if (meta_[x].size != info.size_in ||
+                meta_[y].size != info.size_in) {
+                fail(i, node.op, info.violation);
             }
-            case OpCode::AddPlain:
-            case OpCode::MultiplyPlain: {
-                const ckks::Plaintext &plain =
-                    out_.constants[y - out_.num_inputs];
-                if (meta_[x].level > plain.rns) {
-                    x = lower(x, plain.rns, i, node.op);
-                } else if (meta_[x].level < plain.rns) {
-                    fail(i, node.op,
-                         "cipher sits below the constant's level");
-                }
-                if (node.op == OpCode::AddPlain &&
-                    !scales_equal(meta_[x].scale, plain.scale)) {
-                    // No cipher ref to adopt from: a plaintext's scale
-                    // cannot be rewritten in place.
-                    fail(i, node.op, "cipher/constant scale gap");
-                }
-                break;
+        } else if (info.second == Operand::Cipher &&
+                   meta_[x].size != meta_[y].size) {
+            fail(i, node.op, "operand sizes differ; relinearize before "
+                             "adding");
+        }
+        // Level needs: a drop needs a prime to drop; data operands align
+        // by lowering the higher side.
+        if (info.level == LevelRule::Drop && meta_[x].level < 2) {
+            fail(i, node.op, "cannot drop below one prime");
+        }
+        if (info.second == Operand::Plain) {
+            if (meta_[x].level > meta_[y].level) {
+                x = lower(x, meta_[y].level, i, node.op);
+            } else if (meta_[x].level < meta_[y].level) {
+                fail(i, node.op, "cipher sits below the constant's level");
             }
-            case OpCode::ModSwitchAdd: {
-                if (meta_[x].size != 2 || meta_[y].size != 2) {
-                    fail(i, node.op, "expects size-2 operands");
-                }
-                if (meta_[y].level > meta_[x].level + 1) {
-                    y = lower(y, meta_[x].level + 1, i, node.op);
-                } else if (meta_[y].level != meta_[x].level + 1) {
-                    fail(i, node.op, "addend must sit exactly one level "
-                                     "above the accumulator");
-                }
-                break;
+        } else if (info.level == LevelRule::AddendAbove) {
+            if (meta_[y].level > meta_[x].level + 1) {
+                y = lower(y, meta_[x].level + 1, i, node.op);
+            } else if (meta_[y].level != meta_[x].level + 1) {
+                fail(i, node.op, "addend must sit exactly one level "
+                                 "above the accumulator");
             }
-            case OpCode::Rescale:
-            case OpCode::ModSwitch:
-            case OpCode::ModSwitchAdopt: {
-                if (meta_[x].level < 2) {
-                    fail(i, node.op, "cannot drop below one prime");
-                }
-                break;
+        } else if (info.second == Operand::Cipher) {
+            if (meta_[x].level > meta_[y].level) {
+                x = lower(x, meta_[y].level, i, node.op);
+            } else if (meta_[y].level > meta_[x].level) {
+                y = lower(y, meta_[x].level, i, node.op);
             }
-            default: break;
+        }
+        // Scale gate: a cipher partner is repaired by adoption; a
+        // plaintext's scale cannot be rewritten in place.
+        if (info.scale_gate &&
+            !ckks::scales_match(meta_[x].scale, meta_[y].scale)) {
+            if (info.second == Operand::Plain) {
+                fail(i, node.op, "cipher/constant scale gap");
+            }
+            const double ratio = meta_[x].scale / meta_[y].scale;
+            if (std::abs(ratio - 1.0) > opt_.snap_tolerance &&
+                std::abs(1.0 / ratio - 1.0) > opt_.snap_tolerance) {
+                fail(i, node.op,
+                     "operand scale gap (ratio " + std::to_string(ratio) +
+                         ") exceeds the snap tolerance");
+            }
+            // Adopt on the side this episode lowered (its nodes are
+            // fresh), else on the second operand.
+            if (x >= node_base_ && x - node_base_ >= episode) {
+                x = adopt(x, y, episode);
+            } else {
+                y = adopt(y, x, episode);
+            }
         }
         remap_[old_value] = emit(node.op, x, y, node.imm);
     }
@@ -519,7 +471,7 @@ void prefuse_pass(Program &p, PassReport &report) {
     std::size_t start = 0;
     for (std::size_t i = 0; i <= p.nodes.size(); ++i) {
         const bool extend = i < p.nodes.size() &&
-                            op_code_is_dyadic(p.nodes[i].op) &&
+                            op_info(p.nodes[i].op).dyadic &&
                             !reads_run(p.nodes[i], start, i);
         if (extend) {
             continue;
@@ -529,7 +481,7 @@ void prefuse_pass(Program &p, PassReport &report) {
                 {static_cast<uint32_t>(start), static_cast<uint32_t>(i)});
             report.fused_nodes += i - start;
         }
-        start = (i < p.nodes.size() && op_code_is_dyadic(p.nodes[i].op))
+        start = (i < p.nodes.size() && op_info(p.nodes[i].op).dyadic)
                     ? i
                     : i + 1;
     }
@@ -560,17 +512,9 @@ CompiledProgram ProgramCompiler::compile(const Program &program) const {
         obs::Span pass_span("compile.canonicalize", obs::Category::Compile);
         std::vector<Meta> meta;
         if (context_ != nullptr) {
-            const std::size_t input_level =
-                options_.input_level > 0
-                    ? std::min(options_.input_level, context_->max_level())
-                    : context_->max_level();
-            const double input_scale =
-                options_.input_scale > 0.0
-                    ? options_.input_scale
-                    : static_cast<double>(
-                          context_->key_modulus()[context_->max_level() - 1]
-                              .value());
-            meta = simulate(p, *context_, input_level, input_scale);
+            const InputFacts input = planned_input_facts(
+                *context_, options_.input_level, options_.input_scale);
+            meta = simulate(p, *context_, input.level, input.scale);
         }
         canonicalize_pass(p, meta, result.report);
     }
@@ -603,18 +547,9 @@ CompiledProgram ProgramCompiler::compile(const Program &program) const {
         // so any must-fail node here is a pass pipeline defect, not a
         // user error.
         obs::Span pass_span("compile.verify", obs::Category::Compile);
-        const std::size_t input_level =
-            options_.input_level > 0
-                ? std::min(options_.input_level, context_->max_level())
-                : context_->max_level();
-        const double input_scale =
-            options_.input_scale > 0.0
-                ? options_.input_scale
-                : static_cast<double>(
-                      context_->key_modulus()[context_->max_level() - 1]
-                          .value());
-        const std::vector<InputFacts> facts(
-            p.num_inputs, InputFacts{0, input_level, input_scale});
+        InputFacts facts = planned_input_facts(
+            *context_, options_.input_level, options_.input_scale);
+        facts.size = 0;
         const AnalysisReport verdict =
             ProgramAnalyzer(*context_).analyze(p, facts);
         if (!verdict.ok()) {

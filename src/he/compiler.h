@@ -14,12 +14,12 @@
 //     canonical operand order makes commutative duplicates structural.
 //  3. DCE — nodes (and constants) no output transitively reads are
 //     dropped.  Outputs are never dropped.
-//  4. plan — the level/scale planner.  Pure alignment nodes (ModSwitch /
-//     ModSwitchAdopt / AdoptScale whose consumers are all cipher-cipher
-//     Add/Sub/Multiply or further alignment nodes, and which are not
-//     outputs) are stripped, and alignment is re-derived at each
-//     consumer from a symbolic (size, level, scale) execution that
-//     mirrors the backends' metadata arithmetic bitwise.  Level gaps
+//  4. plan — the level/scale planner.  Pure alignment nodes (the `align`
+//     ops of he::kOpTable) that only scale-gated cipher pairs (Add/Sub)
+//     or further alignment nodes consume, and which are not outputs, are
+//     stripped, and alignment is re-derived at each consumer from a
+//     symbolic (size, level, scale) execution of kOpTable's transfer
+//     rules in the backends' own double arithmetic.  Level gaps
 //     repair with ModSwitch chains; scale gaps within the snap tolerance
 //     repair by adopting the partner's scale (folded into the last
 //     inserted ModSwitch as a ModSwitchAdopt when possible, else an

@@ -18,28 +18,32 @@
 // there is exactly one execution path).
 #pragma once
 
+#include <iterator>
+
 #include "he/backend.h"
 #include "wire/wire.h"
 
 namespace xehe::he {
 
+/// The Backend primitives a program composes; kOpTable below states each
+/// op's operands, size/level/scale transfer and key needs.
 enum class OpCode : uint8_t {
-    Add = 0,            ///< (cipher, cipher)
-    Sub = 1,            ///< (cipher, cipher)
-    Negate = 2,         ///< (cipher)
-    AddPlain = 3,       ///< (cipher, constant)
-    MultiplyPlain = 4,  ///< (cipher, constant)
-    Multiply = 5,       ///< (cipher, cipher); operands size 2
-    Square = 6,         ///< (cipher)
-    Relinearize = 7,    ///< (cipher); needs relin keys
-    Rescale = 8,        ///< (cipher)
-    ModSwitch = 9,      ///< (cipher)
+    Add = 0,
+    Sub = 1,
+    Negate = 2,
+    AddPlain = 3,
+    MultiplyPlain = 4,
+    Multiply = 5,
+    Square = 6,
+    Relinearize = 7,
+    Rescale = 8,
+    ModSwitch = 9,
     /// (cipher a, cipher ref): mod-switch `a` one level and adopt `ref`'s
     /// scale metadata — the routines' approximate-scale bookkeeping
     /// (`c_down.scale = prod.scale`), with no extra kernel.
     ModSwitchAdopt = 10,
-    Rotate = 11,     ///< (cipher), imm = step; needs galois keys
-    Conjugate = 12,  ///< (cipher); needs the conjugation galois key
+    Rotate = 11,     ///< imm = step
+    Conjugate = 12,
     /// (cipher a, cipher c): a + mod_switch(c) with c adopting a's scale
     /// — the MulLinRSModSwAdd tail as one op, which the GPU backend
     /// executes as a single fused gather+add launch.
@@ -54,34 +58,6 @@ enum class OpCode : uint8_t {
 
 inline constexpr uint8_t kMaxOpCode =
     static_cast<uint8_t>(OpCode::AdoptScale);
-
-const char *op_code_name(OpCode op);
-/// Operand count of an op (1 or 2).  Inline: the compiler's passes and
-/// the analyzer's fact walk call this once or twice per node.
-constexpr std::size_t op_code_arity(OpCode op) {
-    switch (op) {
-        case OpCode::Add:
-        case OpCode::Sub:
-        case OpCode::AddPlain:
-        case OpCode::MultiplyPlain:
-        case OpCode::Multiply:
-        case OpCode::ModSwitchAdopt:
-        case OpCode::ModSwitchAdd:
-        case OpCode::AdoptScale: return 2;
-        case OpCode::Negate:
-        case OpCode::Square:
-        case OpCode::Relinearize:
-        case OpCode::Rescale:
-        case OpCode::ModSwitch:
-        case OpCode::Rotate:
-        case OpCode::Conjugate: return 1;
-    }
-    return 0;
-}
-/// True for the ops that lower to one elementwise launch on the GPU
-/// backend (no NTT, no key switch) — the ops the compiler's fusion
-/// pre-lowering may place inside a pre-planned dyadic group.
-bool op_code_is_dyadic(OpCode op);
 
 /// Static shape report of a program (Program::stats()): what the
 /// interpreter will do without executing it.  Level figures count prime
@@ -105,6 +81,143 @@ struct ProgramStats {
     /// minus the launches pre-planned dyadic groups merge away.
     std::size_t planned_launches = 0;
 };
+
+/// What an op's second operand is.
+enum class Operand : uint8_t {
+    None,    ///< unary op
+    Cipher,  ///< ciphertext data: agrees with the first operand in size
+             ///< and level (ModSwitchAdd: sits one level above)
+    Plain,   ///< embedded constant at the cipher's level
+    Ref,     ///< ciphertext read only for its scale metadata
+};
+
+/// Where the result sits in the modulus chain.
+enum class LevelRule : uint8_t {
+    Keep,         ///< the first operand's level
+    Drop,         ///< one prime lower; the operand needs two or more
+    AddendAbove,  ///< the first operand's; the addend sits one above
+};
+
+/// The result's scale metadata, in the backends' double arithmetic.
+enum class ScaleRule : uint8_t {
+    Keep,      ///< the first operand's
+    Times,     ///< the first operand's times the second's
+    Square,    ///< the first operand's squared
+    DivPrime,  ///< the first operand's over the dropped prime
+    Adopt,     ///< the second operand's
+};
+
+enum class KeyNeed : uint8_t { None, Relin, Galois };
+
+/// One op's semantics, stated once: the validator, Program::stats, the
+/// compiler and the analyzer all read kOpTable instead of restating it.
+/// Only policy stays per-op code: the planner's repairs, the analyzer's
+/// interval rules, and run_program's backend dispatch.
+struct OpInfo {
+    OpCode op;
+    const char *name;
+    Operand second = Operand::None;
+    bool imm = false;     ///< takes an immediate (the rotation step)
+    /// One elementwise launch on the GPU backend (no NTT, no key
+    /// switch): the compiler's fusion pre-lowering may group it.
+    bool dyadic = false;
+    uint8_t size_in = 0;   ///< required size of each data operand; 0 = any
+    uint8_t size_out = 0;  ///< result size; 0 = the first operand's
+    LevelRule level = LevelRule::Keep;
+    ScaleRule scale = ScaleRule::Keep;
+    bool scale_gate = false;  ///< operand scales must pass scales_match
+    KeyNeed key = KeyNeed::None;
+    bool align = false;  ///< pure alignment: the planner may strip it
+    std::size_t ProgramStats::*stat = nullptr;  ///< counter it bumps
+    /// Diagnostic text when the size_in need or a level drop fails.
+    const char *violation = nullptr;
+
+    constexpr std::size_t arity() const noexcept {
+        return second == Operand::None ? 1 : 2;
+    }
+    /// Multiplies (and only they) count toward multiplicative depth.
+    constexpr bool mult() const noexcept {
+        return stat == &ProgramStats::multiplies;
+    }
+};
+
+// clang-format off
+inline constexpr OpInfo kOpTable[] = {
+    {.op = OpCode::Add, .name = "Add", .second = Operand::Cipher,
+     .dyadic = true, .scale_gate = true},
+    {.op = OpCode::Sub, .name = "Sub", .second = Operand::Cipher,
+     .dyadic = true, .scale_gate = true},
+    {.op = OpCode::Negate, .name = "Negate", .dyadic = true},
+    {.op = OpCode::AddPlain, .name = "AddPlain", .second = Operand::Plain,
+     .dyadic = true, .scale_gate = true},
+    {.op = OpCode::MultiplyPlain, .name = "MultiplyPlain",
+     .second = Operand::Plain, .dyadic = true, .scale = ScaleRule::Times,
+     .stat = &ProgramStats::plain_multiplies},
+    {.op = OpCode::Multiply, .name = "Multiply", .second = Operand::Cipher,
+     .size_in = 2, .size_out = 3, .scale = ScaleRule::Times,
+     .stat = &ProgramStats::multiplies,
+     .violation = "multiply expects size-2 operands; relinearize first"},
+    {.op = OpCode::Square, .name = "Square", .dyadic = true, .size_in = 2,
+     .size_out = 3, .scale = ScaleRule::Square,
+     .stat = &ProgramStats::multiplies,
+     .violation = "square expects a size-2 operand; relinearize first"},
+    {.op = OpCode::Relinearize, .name = "Relinearize", .size_in = 3,
+     .size_out = 2, .key = KeyNeed::Relin,
+     .stat = &ProgramStats::key_switches,
+     .violation = "relinearize expects a size-3 ciphertext"},
+    {.op = OpCode::Rescale, .name = "Rescale", .level = LevelRule::Drop,
+     .scale = ScaleRule::DivPrime, .stat = &ProgramStats::rescales,
+     .violation = "cannot rescale at the last level"},
+    {.op = OpCode::ModSwitch, .name = "ModSwitch", .level = LevelRule::Drop,
+     .align = true, .stat = &ProgramStats::mod_switches,
+     .violation = "cannot switch below one prime"},
+    {.op = OpCode::ModSwitchAdopt, .name = "ModSwitchAdopt",
+     .second = Operand::Ref, .level = LevelRule::Drop,
+     .scale = ScaleRule::Adopt, .align = true,
+     .stat = &ProgramStats::mod_switches,
+     .violation = "cannot switch below one prime"},
+    {.op = OpCode::Rotate, .name = "Rotate", .imm = true, .size_in = 2,
+     .size_out = 2, .key = KeyNeed::Galois,
+     .stat = &ProgramStats::key_switches,
+     .violation = "rotate expects a size-2 ciphertext"},
+    {.op = OpCode::Conjugate, .name = "Conjugate", .size_in = 2,
+     .size_out = 2, .key = KeyNeed::Galois,
+     .stat = &ProgramStats::key_switches,
+     .violation = "conjugate expects a size-2 ciphertext"},
+    {.op = OpCode::ModSwitchAdd, .name = "ModSwitchAdd",
+     .second = Operand::Cipher, .level = LevelRule::AddendAbove,
+     .stat = &ProgramStats::mod_switches},
+    {.op = OpCode::AdoptScale, .name = "AdoptScale", .second = Operand::Ref,
+     .dyadic = true, .scale = ScaleRule::Adopt, .align = true},
+};
+// clang-format on
+
+static_assert(std::size(kOpTable) == kMaxOpCode + 1u,
+              "kOpTable must cover every OpCode");
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < std::size(kOpTable); ++i) {
+            if (static_cast<std::size_t>(kOpTable[i].op) != i) {
+                return false;
+            }
+        }
+        return true;
+    }(),
+    "kOpTable rows must sit at their OpCode's index");
+
+/// The op's row; `op` must be a valid OpCode (Program::validate checks).
+constexpr const OpInfo &op_info(OpCode op) {
+    return kOpTable[static_cast<uint8_t>(op)];
+}
+/// "unknown" for out-of-range codes (diagnostics on unvalidated input).
+constexpr const char *op_code_name(OpCode op) {
+    return static_cast<uint8_t>(op) <= kMaxOpCode ? op_info(op).name
+                                                  : "unknown";
+}
+/// Operand count of an op (1 or 2).
+constexpr std::size_t op_code_arity(OpCode op) {
+    return op_info(op).arity();
+}
 
 struct Program {
     struct Node {

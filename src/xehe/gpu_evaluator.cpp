@@ -1,7 +1,6 @@
 #include "xehe/gpu_evaluator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 namespace xehe::core {
@@ -40,7 +39,7 @@ void GpuEvaluator::submit_dyadic(const char *name, std::size_t elements,
 GpuCiphertext GpuEvaluator::add(const GpuCiphertext &a,
                                 const GpuCiphertext &b) const {
     util::require(a.rns == b.rns && a.size == b.size, "add: shape mismatch");
-    util::require(std::abs(a.scale / b.scale - 1.0) < 1e-6,
+    util::require(ckks::scales_match(a.scale, b.scale),
                   "add: scale mismatch");
     GpuCiphertext out = allocate_ciphertext(*gpu_, a.size, a.rns, a.scale);
     const std::size_t n = a.n;
@@ -74,7 +73,7 @@ void GpuEvaluator::add_inplace(GpuCiphertext &a,
 GpuCiphertext GpuEvaluator::sub(const GpuCiphertext &a,
                                 const GpuCiphertext &b) const {
     util::require(a.rns == b.rns && a.size == b.size, "sub: shape mismatch");
-    util::require(std::abs(a.scale / b.scale - 1.0) < 1e-6,
+    util::require(ckks::scales_match(a.scale, b.scale),
                   "sub: scale mismatch");
     GpuCiphertext out = allocate_ciphertext(*gpu_, a.size, a.rns, a.scale);
     const std::size_t n = a.n;
@@ -108,7 +107,7 @@ GpuCiphertext GpuEvaluator::negate(const GpuCiphertext &a) const {
 GpuCiphertext GpuEvaluator::add_plain(const GpuCiphertext &a,
                                       const ckks::Plaintext &p) const {
     util::require(a.rns == p.rns && a.n == p.n, "add_plain: level mismatch");
-    util::require(std::abs(a.scale / p.scale - 1.0) < 1e-6,
+    util::require(ckks::scales_match(a.scale, p.scale),
                   "add_plain: scale mismatch");
     GpuCiphertext out = allocate_ciphertext(*gpu_, a.size, a.rns, a.scale);
     const std::size_t n = a.n;

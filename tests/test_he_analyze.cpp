@@ -7,8 +7,11 @@
 // opt-out falling through to the runtime fault).
 #include "test_common.h"
 
+#include <bit>
+
 #include "he/analyze.h"
 #include "he/session.h"
+#include "xgpu/device.h"
 
 namespace xehe::test {
 namespace {
@@ -423,6 +426,97 @@ TEST(HeAnalyze, SessionRunRejectsStaticallyAndOptOutFaultsAtRuntime) {
         FAIL() << "analysis ran despite the opt-out";
     } catch (const std::invalid_argument &) {
         // The evaluator's missing-key fault — the un-gated behavior.
+    }
+}
+
+/// The smallest program whose output node is `op`, over inputs x (size
+/// 2, max level, base scale) and z (same, at another scale), with `plain`
+/// as the only constant.
+he::Program smallest_program(he::OpCode op, const ckks::Plaintext &plain) {
+    using he::OpCode;
+    ProgramBuilder b(2);
+    const auto c = b.constant(plain);
+    const auto x = b.input(0), z = b.input(1);
+    ProgramBuilder::Value out{};
+    switch (op) {
+        case OpCode::Add: out = b.add(x, x); break;
+        case OpCode::Sub: out = b.sub(x, x); break;
+        case OpCode::Negate: out = b.negate(x); break;
+        case OpCode::AddPlain: out = b.add_plain(x, c); break;
+        case OpCode::MultiplyPlain: out = b.multiply_plain(x, c); break;
+        case OpCode::Multiply: out = b.multiply(x, z); break;
+        case OpCode::Square: out = b.square(x); break;
+        case OpCode::Relinearize:
+            out = b.relinearize(b.multiply(x, z));
+            break;
+        case OpCode::Rescale: out = b.rescale(x); break;
+        case OpCode::ModSwitch: out = b.mod_switch(x); break;
+        case OpCode::ModSwitchAdopt: out = b.mod_switch_adopt(x, z); break;
+        case OpCode::Rotate: out = b.rotate(x, 1); break;
+        case OpCode::Conjugate: out = b.conjugate(x); break;
+        case OpCode::ModSwitchAdd:
+            out = b.mod_switch_add(b.mod_switch(x), z);
+            break;
+        case OpCode::AdoptScale: out = b.adopt_scale(x, z); break;
+    }
+    b.output(out);
+    return b.build();
+}
+
+/// kOpTable checked against execution: for every op, the strict
+/// analyzer's facts for the output of its smallest program, under the
+/// inputs' exact facts, are point intervals equal (bit for bit) to the
+/// size, level and scale of the Cipher both backends actually return.
+TEST(HeAnalyze, OpTableFactsMatchExecutionOnBothBackends) {
+    AnalyzeRig rig;
+    ckks::GaloisKeys galois = rig.galois;
+    galois.keys.merge(rig.bench.keygen.create_conjugation_keys().keys);
+    he::ProgramKeys keys = rig.keys();
+    keys.galois = &galois;
+    AnalyzerOptions opts;
+    opts.set_keys(keys);
+    const ProgramAnalyzer analyzer(rig.context(), opts);
+
+    const double base = rig.base_scale();
+    const std::size_t top = rig.context().max_level();
+    const ckks::Ciphertext x = rig.bench.enc(rig.bench.values(1, 0.5), base);
+    const ckks::Ciphertext z =
+        rig.bench.enc(rig.bench.values(2, 0.5), base * 0.75);
+    const ckks::Plaintext plain = rig.bench.encoder.encode(0.5, base, top);
+
+    he::HostBackend host(rig.context());
+    core::GpuContext gpu(rig.context(), xgpu::device1(), core::GpuOptions{});
+    core::GpuEvaluator evaluator(gpu);
+    he::GpuBackend device(gpu, evaluator);
+
+    for (uint8_t code = 0; code <= he::kMaxOpCode; ++code) {
+        const auto op = static_cast<he::OpCode>(code);
+        SCOPED_TRACE(he::op_code_name(op));
+        const he::Program program = smallest_program(op, plain);
+        ASSERT_EQ(program.nodes[program.outputs[0] - program.num_inputs -
+                                program.constants.size()]
+                      .op,
+                  op);
+        for (he::Backend *backend : {static_cast<he::Backend *>(&host),
+                                     static_cast<he::Backend *>(&device)}) {
+            const std::vector<he::Cipher> inputs = {backend->upload(x),
+                                                    backend->upload(z)};
+            const std::vector<InputFacts> facts = {he::facts_of(inputs[0]),
+                                                   he::facts_of(inputs[1])};
+            const AnalysisReport report = analyzer.analyze(program, facts);
+            ASSERT_TRUE(report.ok()) << report.summary();
+            const he::Cipher result =
+                he::run_program(program, *backend, inputs, keys)[0];
+            const he::ValueFacts &f = report.values[program.outputs[0]];
+            EXPECT_EQ(f.size_min, result.size());
+            EXPECT_EQ(f.size_max, result.size());
+            EXPECT_EQ(f.level_min, result.level());
+            EXPECT_EQ(f.level_max, result.level());
+            EXPECT_EQ(std::bit_cast<uint64_t>(f.scale_lo),
+                      std::bit_cast<uint64_t>(result.scale()));
+            EXPECT_EQ(std::bit_cast<uint64_t>(f.scale_hi),
+                      std::bit_cast<uint64_t>(result.scale()));
+        }
     }
 }
 

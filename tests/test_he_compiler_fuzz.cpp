@@ -10,6 +10,8 @@
 // of the suite.
 #include "test_common.h"
 
+#include <cstring>
+
 #include "he/analyze.h"
 #include "he/compiler.h"
 #include "xgpu/device.h"
@@ -506,6 +508,190 @@ TEST(HeCompilerFuzz, StrictAnalyzerMatchesRawInterpreterOnSeedsAndMutants) {
     // is vacuous.
     EXPECT_GT(accepted_mutants, 0u);
     EXPECT_GT(rejected_mutants, 0u);
+}
+
+/// 64-bit FNV-1a over a stream of fields.
+struct Fnv1a {
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void byte(uint8_t b) { h = (h ^ b) * 0x100000001b3ull; }
+    void u64(uint64_t v) {
+        for (int shift = 0; shift < 64; shift += 8) {
+            byte(static_cast<uint8_t>(v >> shift));
+        }
+    }
+    void f64(double d) {
+        uint64_t bits;
+        std::memcpy(&bits, &d, sizeof(bits));
+        u64(bits);
+    }
+    void bytes(std::span<const uint8_t> data) {
+        u64(data.size());
+        for (const uint8_t b : data) {
+            byte(b);
+        }
+    }
+    void str(const std::string &s) {
+        bytes({reinterpret_cast<const uint8_t *>(s.data()), s.size()});
+    }
+};
+
+void hash_stats(Fnv1a &h, const he::ProgramStats &s) {
+    for (const std::size_t field :
+         {s.nodes, s.constants, s.outputs, s.multiplies, s.plain_multiplies,
+          s.key_switches, s.rescales, s.mod_switches, s.depth,
+          s.levels_consumed, s.fusion_groups, s.planned_launches}) {
+        h.u64(field);
+    }
+}
+
+void hash_analysis(Fnv1a &h, const he::AnalysisReport &report) {
+    h.u64(report.diagnostics.size());
+    for (const he::Diagnostic &d : report.diagnostics) {
+        h.u64(static_cast<uint64_t>(d.severity));
+        h.u64(static_cast<uint64_t>(d.kind));
+        h.u64(d.node);
+        h.u64(static_cast<uint64_t>(d.op));
+        h.str(d.message);
+    }
+    h.u64(report.values.size());
+    for (const he::ValueFacts &f : report.values) {
+        h.f64(f.scale_lo);
+        h.f64(f.scale_hi);
+        h.u64(f.depth);
+        h.u64(f.mult_depth);
+        h.u64(f.size_min);
+        h.u64(f.size_max);
+        h.u64(f.level_min);
+        h.u64(f.level_max);
+        h.u64(f.live);
+    }
+    h.u64(report.mult_depth);
+}
+
+/// Op-substitution mutants: every opcode once, written over a random
+/// node with its operands re-picked to fit the new op's arity and operand
+/// kinds, so the pinned hashes below also cover the ops the generator
+/// never emits (ModSwitchAdd, AdoptScale, Conjugate, ...).
+std::vector<he::Program> substitute_ops(const he::Program &p,
+                                        std::mt19937_64 &rng) {
+    std::vector<he::Program> mutants;
+    const uint32_t const_base = p.num_inputs;
+    const uint32_t node_base =
+        const_base + static_cast<uint32_t>(p.constants.size());
+    for (uint8_t code = 0; code <= he::kMaxOpCode; ++code) {
+        he::Program m = p;
+        const std::size_t i = rng() % m.nodes.size();
+        he::Program::Node &n = m.nodes[i];
+        n.op = static_cast<he::OpCode>(code);
+        n.imm = n.op == he::OpCode::Rotate ? 1 : 0;
+        if (he::op_code_arity(n.op) == 1) {
+            n.b = 0;
+        } else if (n.op == he::OpCode::AddPlain ||
+                   n.op == he::OpCode::MultiplyPlain) {
+            n.b = const_base +
+                  static_cast<uint32_t>(rng() % p.constants.size());
+        } else {
+            const std::size_t r = rng() % (p.num_inputs + i);
+            n.b = static_cast<uint32_t>(
+                r < p.num_inputs ? r : node_base + (r - p.num_inputs));
+        }
+        mutants.push_back(std::move(m));
+    }
+    return mutants;
+}
+
+/// Pins what the compiler and the analyzer produce over the fuzz corpus
+/// (the five routine programs, the 220 seed programs, their mutants and
+/// their op substitutions): the compiled program's
+/// wire bytes (or the compile error), the PassReport counters, the
+/// before/after ProgramStats, and every AnalysisReport (diagnostics with
+/// their text, per-value facts bit for bit) in strict and
+/// assume_alignment mode, under exact, unknown and mixed input facts.  A
+/// refactor of the op semantics must reproduce these hashes; they are
+/// recorded, never re-derived from the code under test.
+TEST(HeCompilerFuzz, PinnedCompileAndAnalysisHashes) {
+    CkksBench host(1024, 4);
+    ckks::RelinKeys relin = host.keygen.create_relin_keys();
+    const int steps[] = {1};
+    ckks::GaloisKeys galois = host.keygen.create_galois_keys(steps);
+    he::ProgramKeys keys;
+    keys.relin = &relin;
+    keys.galois = &galois;
+    const double input_scale = static_cast<double>(
+        host.context.key_modulus()[host.context.max_level() - 1].value());
+
+    he::AnalyzerOptions strict_opts;
+    strict_opts.set_keys(keys);
+    he::AnalyzerOptions aligned_opts = strict_opts;
+    aligned_opts.assume_alignment = true;
+    const he::ProgramAnalyzer strict(host.context, strict_opts);
+    const he::ProgramAnalyzer aligned(host.context, aligned_opts);
+    const he::ProgramCompiler compiler(host.context);
+    const he::InputFacts exact{2, host.context.max_level(), input_scale};
+    const he::InputFacts unknown{};
+
+    Fnv1a compile_hash, strict_hash, aligned_hash;
+    std::size_t programs = 0;
+    std::size_t compile_errors = 0;
+    for (uint64_t seed = 0; seed <= 220; ++seed) {
+        std::vector<he::Program> corpus;
+        if (seed == 0) {
+            corpus = {he::mul_lin_program(), he::mul_lin_rs_program(),
+                      he::sqr_lin_rs_program(),
+                      he::mul_lin_rs_modsw_add_program(),
+                      he::rotate_program(1)};
+        } else {
+            corpus.push_back(Generator(host, seed).run());
+            std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 1);
+            for (he::Program &m : make_mutants(corpus[0], rng)) {
+                corpus.push_back(std::move(m));
+            }
+            std::mt19937_64 sub_rng(seed);
+            for (he::Program &m : substitute_ops(corpus[0], sub_rng)) {
+                corpus.push_back(std::move(m));
+            }
+        }
+        for (const he::Program &p : corpus) {
+            ++programs;
+            try {
+                const he::CompiledProgram c = compiler.compile(p);
+                compile_hash.u64(1);
+                compile_hash.bytes(wire::serialize(c.program));
+                const he::PassReport &r = c.report;
+                for (const std::size_t field :
+                     {r.canonicalized, r.cse_merged, r.dce_removed,
+                      r.constants_removed, r.plan_removed, r.plan_inserted,
+                      r.fused_nodes}) {
+                    compile_hash.u64(field);
+                }
+                hash_stats(compile_hash, c.before);
+                hash_stats(compile_hash, c.after);
+            } catch (const std::exception &e) {
+                ++compile_errors;
+                compile_hash.u64(0);
+                compile_hash.str(e.what());
+            }
+            for (const he::InputFacts &facts : {exact, unknown}) {
+                hash_analysis(strict_hash, strict.analyze(p, facts));
+                hash_analysis(aligned_hash, aligned.analyze(p, facts));
+            }
+            // Per-input facts mixing exact and unknown sizes over distinct
+            // exact scales, so interval (non-point) scale facts arise.
+            std::vector<he::InputFacts> mixed;
+            for (uint32_t i = 0; i < p.num_inputs; ++i) {
+                mixed.push_back({i % 2 == 0 ? 2u : 0u, exact.level,
+                                 input_scale * (1.0 + 0.25 * i)});
+            }
+            hash_analysis(strict_hash, strict.analyze(p, mixed));
+            hash_analysis(aligned_hash, aligned.analyze(p, mixed));
+        }
+    }
+    EXPECT_EQ(programs, 4640u);
+    EXPECT_EQ(compile_errors, 250u);
+    EXPECT_EQ(compile_hash.h, 0xa5e79f06dd9beb00ull);
+    EXPECT_EQ(strict_hash.h, 0x72964b35284df9c1ull);
+    EXPECT_EQ(aligned_hash.h, 0x290159ae3ec8c954ull);
 }
 
 }  // namespace
