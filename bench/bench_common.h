@@ -19,18 +19,26 @@ namespace bench {
 /// entry on its declared direction; the metric's name never decides it.
 enum class Better { Lower, Higher };
 
-/// One deterministic simulated metric destined for the CI baseline diff.
-/// The constructor makes the direction a required argument.
+/// The clock a metric's value came from.  Simulated values reproduce bit
+/// for bit and are gated exactly against the baseline; wall-clock values
+/// ride in the artifact but merge_bench_json.py --require drops them from
+/// the gated merge, and compare_baseline.py refuses them as baselines.
+enum class Clock { Sim, Wall };
+
+/// One metric destined for the CI artifact and, when simulated, the
+/// baseline diff.  The constructor makes the direction a required
+/// argument.
 struct JsonMetric {
     JsonMetric(std::string name_, double value_, const char *unit_,
-               Better better_)
+               Better better_, Clock clock_ = Clock::Sim)
         : name(std::move(name_)), value(value_), unit(unit_),
-          better(better_) {}
+          better(better_), clock(clock_) {}
 
     std::string name;
     double value;      ///< ms for *_ms entries, ratio for *_speedup
     const char *unit;
     Better better;
+    Clock clock;
 };
 
 /// google-benchmark-style JSON so the CI artifact and the baseline diff
@@ -55,7 +63,9 @@ inline bool write_json(const std::string &path,
             << "\"real_time\": " << m.value << ", "
             << "\"time_unit\": \"" << m.unit << "\", "
             << "\"direction\": \""
-            << (m.better == Better::Higher ? "higher" : "lower") << "\"}"
+            << (m.better == Better::Higher ? "higher" : "lower") << "\", "
+            << "\"clock\": \"" << (m.clock == Clock::Wall ? "wall" : "sim")
+            << "\"}"
             << (i + 1 < metrics.size() ? ",\n" : "\n");
     }
     out << "  ]\n}\n";

@@ -10,8 +10,10 @@ current run, and every baseline entry must declare its "direction":
 direction; a baseline entry without a valid direction is an error.
 
 The baseline holds only the *deterministic simulated* metrics emitted by
-the fig_* --json benches (wall-clock numbers vary too much across CI
-runners to gate on), and those reproduce bit for bit.  So the gate is
+the fig_* --json benches, and those reproduce bit for bit.  Wall-clock
+numbers vary too much across CI runners to gate on: a baseline entry
+tagged "clock": "wall" is an error, and wall entries of the current run
+are listed as wall-clock, never as missing a baseline.  So the gate is
 exact: a metric that moves by more than a relative 1e-9 in *either*
 direction fails, and a zero baseline fails as soon as the current value
 is not 0.  The direction only labels a move as worse or better.  An
@@ -36,10 +38,9 @@ EXACT = 1e-9
 REFRESH = (
     "rerun the six gated fig benches with --json (fig_multitile_batch, "
     "fig_fusion, fig_serving_latency, fig_program_serving, "
-    "fig_program_compile, fig_multitenant), run "
+    "fig_program_compile, fig_multitenant) and run "
     "`python3 bench/merge_bench_json.py --require bench/baseline.json "
-    "<their JSON files>`, and drop the wall-clock "
-    "program_compile/analysis/* entries, which stay ungated")
+    "<their JSON files>`")
 
 
 def load_entries(path):
@@ -53,6 +54,11 @@ def load_entries(path):
 
 def load_metrics(path):
     return {b["name"]: float(b["real_time"]) for b in load_entries(path)}
+
+
+def wall_names(path):
+    """Names of the entries tagged as wall-clock values."""
+    return {b["name"] for b in load_entries(path) if b.get("clock") == "wall"}
 
 
 def load_directions(path):
@@ -76,7 +82,13 @@ def main():
 
     baseline = load_metrics(args.baseline)
     directions = load_directions(args.baseline)
+    wall_baseline = wall_names(args.baseline)
+    if wall_baseline:
+        raise SystemExit(
+            f"error: {args.baseline} holds wall-clock entries, which are "
+            f"never gated: {', '.join(sorted(wall_baseline))}")
     current = load_metrics(args.current)
+    wall = wall_names(args.current)
 
     failures = []
     print(f"{'metric':<44}{'baseline':>12}{'current':>12}{'ratio':>8}")
@@ -101,7 +113,10 @@ def main():
                 f"({'better' if better else 'worse'})")
         print(f"{name:<44}{base:>12.3f}{cur:>12.3f}{ratio}{flag}")
 
-    ungated = sorted(set(current) - set(baseline))
+    if wall:
+        print(f"note: {len(wall)} wall-clock metric(s), never gated: "
+              f"{', '.join(sorted(wall))}")
+    ungated = sorted(set(current) - set(baseline) - wall)
     if ungated:
         print(f"note: {len(ungated)} metric(s) have no baseline entry "
               f"(not gated): {', '.join(ungated[:8])}"

@@ -12,8 +12,9 @@
 //  - routines: the five Section IV-C canonical programs, already in
 //    compiled normal form — the compile step must not regress them.
 //
-// `--json <path>` writes the deterministic simulated metrics; CI's
-// bench-smoke job merges them into the baseline gate.  Exits non-zero if
+// `--json <path>` writes the metrics; CI's bench-smoke job gates the
+// deterministic simulated ones against the baseline (the analysis
+// suite's wall-clock ones are tagged so and stay ungated).  Exits non-zero if
 // any suite misses its gate.
 #include <algorithm>
 #include <chrono>
@@ -231,7 +232,7 @@ int main(int argc, char **argv) {
     // --- routine suite: the no-regression gate -------------------------
     for (const core::Routine r : core::kAllRoutines) {
         const Program &raw = core::routine_program(r);
-        const Program &opt = core::routine_program_compiled(r);
+        const Program opt = compiler.compile(raw).program;
         const auto before = raw.stats();
         const auto after = opt.stats();
         const double raw_ms = run_ms(raw, raw.num_inputs);
@@ -366,14 +367,12 @@ int main(int argc, char **argv) {
                     "rounds (median %.2f%%, sink %zu)\n",
                     analyze_ms, compile_ms, circuits.size(), kIters,
                     kRounds, pct, sink);
-        metrics.push_back(
-            {"program_compile/analysis/analyze_ms", analyze_ms, "ms",
-             Better::Lower});
-        metrics.push_back(
-            {"program_compile/analysis/compile_ms", compile_ms, "ms",
-             Better::Lower});
-        metrics.push_back(
-            {"program_compile/analysis/overhead_pct", pct, "%", Better::Lower});
+        metrics.push_back({"program_compile/analysis/analyze_ms",
+                           analyze_ms, "ms", Better::Lower, Clock::Wall});
+        metrics.push_back({"program_compile/analysis/compile_ms",
+                           compile_ms, "ms", Better::Lower, Clock::Wall});
+        metrics.push_back({"program_compile/analysis/overhead_pct", pct, "%",
+                           Better::Lower, Clock::Wall});
         if (pct >= 5.0) {
             std::fprintf(stderr,
                          "gate: analysis overhead %.2f%% of the "

@@ -10,7 +10,9 @@ google-benchmark is installed), so the CI artifact degrades gracefully.
 With --require, a missing or entry-less input is a hard error: the gated
 merge (the file compare_baseline.py diffs against the baseline) must fail
 loudly when a gated bench was deleted or failed to write its JSON, instead
-of silently dropping that bench's metrics from the gate.
+of silently dropping that bench's metrics from the gate.  The gated merge
+also drops every entry tagged "clock": "wall" (bench::Clock::Wall): it is
+the baseline's refresh input, and wall-clock values are never gated.
 
 Inputs may also be obs::Registry snapshots (marked "obs_registry": 1, as
 written by `fig_serving_latency --metrics` or Registry::write_json).
@@ -78,6 +80,13 @@ def main():
             print(f"error: required input {path} has no benchmark entries",
                   file=sys.stderr)
             return 1
+        if args.require:
+            wall = [e["name"] for e in entries if e.get("clock") == "wall"]
+            if wall:
+                print(f"note: dropped {len(wall)} wall-clock entr"
+                      f"{'y' if len(wall) == 1 else 'ies'} of {path}: "
+                      f"{', '.join(wall)}")
+            entries = [e for e in entries if e.get("clock") != "wall"]
         merged["context"]["sources"].append(
             {"file": os.path.basename(path),
              "context": data.get("context", {})})

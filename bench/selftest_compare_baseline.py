@@ -13,7 +13,13 @@ Checks, in-process against copies of the real baseline:
   * a lower-is-better metric with a zero baseline fails once it rises
     above 0 and passes while it stays 0 (checked on the real baseline's
     zero entries and on a synthetic one);
-  * a baseline entry without a direction (or with an unknown one) fails.
+  * a baseline entry without a direction (or with an unknown one) fails;
+  * a baseline entry tagged "clock": "wall" fails, and a wall-tagged entry
+    of the current run passes and is reported as wall-clock, not as
+    needing a baseline entry;
+  * merge_bench_json.py --require (the gated merge, which is also the
+    baseline's refresh input) drops wall-tagged entries, and the plain
+    artifact merge keeps them.
 
 Exits 1 on the first broken expectation.
 """
@@ -29,9 +35,21 @@ import tempfile
 sys.dont_write_bytecode = True  # leave no __pycache__ in the source tree
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import compare_baseline  # noqa: E402
+import merge_bench_json  # noqa: E402
 
 
-def gate(tmp, baseline, current):
+def run(module, argv, sink=None):
+    """Exit code of `module`.main() under `argv`, output captured."""
+    sys.argv = argv
+    sink = sink if sink is not None else io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return module.main()
+    except SystemExit as e:
+        return e.code if isinstance(e.code, int) else 1
+
+
+def gate(tmp, baseline, current, sink=None):
     """Exit code of compare_baseline.py on the two documents."""
     paths = []
     for label, doc in (("baseline", baseline), ("current", current)):
@@ -39,13 +57,21 @@ def gate(tmp, baseline, current):
         with open(path, "w") as f:
             json.dump(doc, f)
         paths.append(path)
-    sys.argv = ["compare_baseline.py", *paths]
-    sink = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            return compare_baseline.main()
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 1
+    return run(compare_baseline, ["compare_baseline.py", *paths], sink)
+
+
+def merged_names(tmp, doc, require):
+    """Entry names merge_bench_json.py keeps from `doc`, or None on error."""
+    src = os.path.join(tmp, "merge_in.json")
+    out = os.path.join(tmp, "merge_out.json")
+    with open(src, "w") as f:
+        json.dump(doc, f)
+    argv = ["merge_bench_json.py", *(["--require"] if require else []),
+            out, src]
+    if run(merge_bench_json, argv) != 0:
+        return None
+    with open(out) as f:
+        return [b["name"] for b in json.load(f)["benchmarks"]]
 
 
 def scaled(baseline, factor_of):
@@ -126,6 +152,32 @@ def main():
             if gate(tmp, broken, baseline) != 1:
                 failures.append(f"baseline entry with direction {bad!r} "
                                 "was accepted")
+
+        wall_entry = {"name": "selftest/wall_ms", "run_type": "iteration",
+                      "real_time": 1.5, "time_unit": "ms",
+                      "direction": "lower", "clock": "wall"}
+        walled = copy.deepcopy(baseline)
+        walled["benchmarks"].append(dict(wall_entry))
+        if gate(tmp, walled, walled) != 1:
+            failures.append("baseline entry tagged wall was accepted")
+        sink = io.StringIO()
+        if gate(tmp, baseline, walled, sink) != 0:
+            failures.append("wall-clock entry in the current run failed "
+                            "the gate")
+        report = sink.getvalue()
+        if ("wall-clock" not in report or wall_entry["name"] not in report
+                or "no baseline entry" in report):
+            failures.append("wall-clock entry in the current run was not "
+                            "reported as wall-clock")
+
+        names = merged_names(tmp, walled, require=True)
+        if names is None or wall_entry["name"] in names or \
+                len(names) != len(baseline["benchmarks"]):
+            failures.append("merge --require kept a wall-clock entry or "
+                            "dropped a simulated one")
+        names = merged_names(tmp, walled, require=False)
+        if names is None or wall_entry["name"] not in names:
+            failures.append("artifact merge dropped a wall-clock entry")
 
     for f in failures:
         print(f"FAIL: {f}", file=sys.stderr)

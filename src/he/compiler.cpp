@@ -568,4 +568,38 @@ CompiledProgram ProgramCompiler::compile(const Program &program) const {
     return result;
 }
 
+// ---------------------------------------------------------------------------
+// CompileCache
+// ---------------------------------------------------------------------------
+
+std::string CompileCache::key(uint64_t scope, const CompilerOptions &options,
+                              std::span<const uint8_t> program_bytes) {
+    const uint64_t level = options.input_level;
+    std::string key;
+    key.reserve(4 * sizeof(uint64_t) + program_bytes.size());
+    const auto append = [&key](const void *data, std::size_t size) {
+        key.append(static_cast<const char *>(data), size);
+    };
+    append(&scope, sizeof(scope));
+    append(&level, sizeof(level));
+    append(&options.input_scale, sizeof(options.input_scale));
+    append(&options.snap_tolerance, sizeof(options.snap_tolerance));
+    append(program_bytes.data(), program_bytes.size());
+    return key;
+}
+
+std::shared_ptr<const Program> CompileCache::get_or_compile(
+    std::string key, const std::function<Program()> &miss) {
+    if (auto it = entries_.find(key); it != entries_.end()) {
+        ++hits_;
+        return it->second;
+    }
+    auto compiled = std::make_shared<const Program>(miss());
+    if (entries_.size() >= kCapacity) {
+        entries_.clear();
+    }
+    entries_.emplace(std::move(key), compiled);
+    return compiled;
+}
+
 }  // namespace xehe::he

@@ -41,6 +41,11 @@
 // compile to themselves (tests/test_he_compiler.cpp pins this).
 #pragma once
 
+#include <functional>
+#include <memory>
+#include <string>
+#include <unordered_map>
+
 #include "he/program.h"
 
 namespace xehe::he {
@@ -112,6 +117,37 @@ public:
 private:
     const ckks::CkksContext *context_ = nullptr;
     CompilerOptions options_;
+};
+
+/// The bounded cache of compiled programs that every compiling seam
+/// holds (Session::run, the server's compile-on-admit).  A key is a
+/// caller scope, the compile assumptions the result depends on and the
+/// program's serialized bytes, so equal keys mean byte-equal programs
+/// compiled under identical assumptions: a hit can never serve the wrong
+/// circuit.  (The wire body carries no fusion groups, so byte equality is
+/// structurally_equal.)  At kCapacity entries the cache clears before
+/// inserting, so a caller cycling circuits cannot grow it unboundedly.
+class CompileCache {
+public:
+    static constexpr std::size_t kCapacity = 256;
+
+    /// `scope` (the server's session id; 0 for a private cache), then the
+    /// bits of `options`' input_level, input_scale and snap_tolerance,
+    /// then `program_bytes`.
+    static std::string key(uint64_t scope, const CompilerOptions &options,
+                           std::span<const uint8_t> program_bytes);
+
+    /// The entry under `key`, or else miss()'s compiled program, inserted.
+    /// A miss that throws inserts nothing.
+    std::shared_ptr<const Program> get_or_compile(
+        std::string key, const std::function<Program()> &miss);
+
+    std::size_t size() const noexcept { return entries_.size(); }
+    std::size_t hits() const noexcept { return hits_; }
+
+private:
+    std::unordered_map<std::string, std::shared_ptr<const Program>> entries_;
+    std::size_t hits_ = 0;
 };
 
 }  // namespace xehe::he

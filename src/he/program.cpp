@@ -1,7 +1,6 @@
 #include "he/program.h"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 
 namespace xehe::he {
@@ -152,38 +151,6 @@ bool structurally_equal(const Program &a, const Program &b) {
         }
     }
     return true;
-}
-
-uint64_t fingerprint(const Program &program) {
-    uint64_t h = 0xcbf29ce484222325ull;
-    const auto mix = [&h](uint64_t v) {
-        for (int shift = 0; shift < 64; shift += 8) {
-            h = (h ^ ((v >> shift) & 0xff)) * 0x100000001b3ull;
-        }
-    };
-    mix(program.num_inputs);
-    mix(program.constants.size());
-    for (const auto &plain : program.constants) {
-        mix(plain.rns);
-        uint64_t scale_bits;
-        static_assert(sizeof(scale_bits) == sizeof(plain.scale));
-        std::memcpy(&scale_bits, &plain.scale, sizeof(scale_bits));
-        mix(scale_bits);
-        for (const uint64_t word : plain.data) {
-            mix(word);
-        }
-    }
-    mix(program.nodes.size());
-    for (const auto &node : program.nodes) {
-        mix(static_cast<uint64_t>(node.op));
-        mix(node.a);
-        mix(node.b);
-        mix(static_cast<uint64_t>(static_cast<uint32_t>(node.imm)));
-    }
-    for (const uint32_t out : program.outputs) {
-        mix(out);
-    }
-    return h;
 }
 
 // ---------------------------------------------------------------------------

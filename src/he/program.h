@@ -276,11 +276,6 @@ struct Program {
 /// derived, not semantic).
 bool structurally_equal(const Program &a, const Program &b);
 
-/// FNV-1a fingerprint over the same structure structurally_equal
-/// compares — a cheap cache precheck (collisions must still be confirmed
-/// with structurally_equal).
-uint64_t fingerprint(const Program &program);
-
 /// Incremental builder with index bookkeeping; `Value` is just a checked
 /// value index.
 class ProgramBuilder {

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "he/analyze.h"
-#include "he/compiler.h"
 
 namespace xehe::he {
 
@@ -275,24 +274,17 @@ std::vector<Cipher> Session::run(const Program &program,
         return run_program(program, *backend_, inputs, keys);
     }
 
-    const uint64_t fp = fingerprint(program);
-    for (const auto &entry : compiled_cache_) {
-        if (entry.fingerprint == fp &&
-            structurally_equal(entry.source, program)) {
-            return run_program(*entry.compiled, *backend_, inputs, keys);
-        }
-    }
     CompilerOptions copts;
     copts.snap_tolerance = options_.snap_tolerance;
     copts.input_scale = scale_;
-    ProgramCompiler compiler(backend_->context(), copts);
-    auto compiled =
-        std::make_shared<const Program>(compiler.compile(program).program);
-    constexpr std::size_t kCacheCap = 64;
-    if (compiled_cache_.size() >= kCacheCap) {
-        compiled_cache_.clear();
-    }
-    compiled_cache_.push_back({fp, program, compiled});
+    wire::Writer body;
+    save(body, program);
+    const auto compiled = compile_cache_.get_or_compile(
+        CompileCache::key(0, copts, body.buffer()), [&] {
+            return ProgramCompiler(backend_->context(), copts)
+                .compile(program)
+                .program;
+        });
     return run_program(*compiled, *backend_, inputs, keys);
 }
 

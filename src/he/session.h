@@ -24,7 +24,7 @@
 #pragma once
 
 #include "ckks/encoder.h"
-#include "he/program.h"
+#include "he/compiler.h"
 
 namespace xehe::he {
 
@@ -108,8 +108,8 @@ public:
 
     /// Interprets a Program over this session's backend and keys.  With
     /// SessionOptions::compile_programs the program is optimized first
-    /// (cached per structural fingerprint, so repeated runs compile
-    /// once); inputs are assumed to sit at the session scale and the
+    /// (cached by its serialized bytes, so repeated runs compile once);
+    /// inputs are assumed to sit at the session scale and the
     /// context's max level, the planner's defaults.
     std::vector<Cipher> run(const Program &program,
                             std::span<const Cipher> inputs);
@@ -126,15 +126,8 @@ private:
 
     Backend *backend_;
     SessionOptions options_;
-    /// Compiled-program cache: fingerprint precheck, then structural
-    /// equality (fingerprints can collide; a wrong program must never
-    /// run).  Bounded: the cache clears when it outgrows its cap.
-    struct CompiledEntry {
-        uint64_t fingerprint;
-        Program source;
-        std::shared_ptr<const Program> compiled;
-    };
-    std::vector<CompiledEntry> compiled_cache_;
+    /// Compiled programs, keyed by their wire body (scope 0).
+    CompileCache compile_cache_;
     double scale_ = 0.0;
     double waterline_ = 0.0;
     ckks::CkksEncoder encoder_;

@@ -13,6 +13,55 @@ void check(bool condition, const char *what) {
     }
 }
 
+/// Decodes and checks the fixed Request prefix (tag through input count)
+/// for both the monolithic and the streaming parser; returns the declared
+/// input count.
+uint8_t load_prefix(wire::Reader &r, Request &req) {
+    check(r.u8() == static_cast<uint8_t>(wire::Tag::Request),
+          "wire: expected Request");
+    req.session_id = r.u64();
+    const uint8_t op = r.u8();
+    check(op <= static_cast<uint8_t>(Op::Program), "wire: bad op");
+    req.op = static_cast<Op>(op);
+    req.rotate_step = static_cast<int>(static_cast<int64_t>(r.u64()));
+    req.matmul_tiles = r.u64();
+    check(req.matmul_tiles >= 1 && req.matmul_tiles <= (1u << 20),
+          "wire: bad matmul tile count");
+    req.arrival_ns = r.f64();
+    check(std::isfinite(req.arrival_ns) && req.arrival_ns >= 0.0,
+          "wire: bad arrival time");
+    const uint8_t cost_only = r.u8();
+    check(cost_only <= 1, "wire: bad flag byte");
+    req.cost_only = cost_only != 0;
+    req.cost_only_level = r.u64();
+    check(req.cost_only_level <= 64, "wire: bad cost-only level");
+    const uint8_t hint = r.u8();
+    check(hint <= static_cast<uint8_t>(BackendHint::Gpu),
+          "wire: bad backend hint");
+    req.backend = static_cast<BackendHint>(hint);
+    const uint8_t count = r.u8();
+    if (req.op == Op::Program) {
+        // The exact arity is the shipped program's input count; the
+        // server checks it after parsing the program with its context.
+        // 64 matches the Program IR's own input bound.
+        check(count <= 64, "wire: bad input count");
+        check(!req.cost_only || count == 0,
+              "wire: cost-only request with inputs");
+    } else {
+        check(count <= 3, "wire: bad input count");
+        check(req.cost_only ? count == 0 : count == op_arity(req.op),
+              "wire: input count does not match op");
+    }
+    return count;
+}
+
+/// The program-length rule: bounded, and present exactly for Op::Program.
+void check_program_len(const Request &req, uint64_t len) {
+    check(len <= (1u << 24), "wire: oversized program");
+    check(req.op == Op::Program ? len > 0 : len == 0,
+          "wire: program bytes do not match op");
+}
+
 }  // namespace
 
 const char *status_name(Status s) {
@@ -81,41 +130,7 @@ void save(wire::Writer &w, const Request &req) {
 }
 
 void load(wire::Reader &r, Request &req) {
-    check(r.u8() == static_cast<uint8_t>(wire::Tag::Request),
-          "wire: expected Request");
-    req.session_id = r.u64();
-    const uint8_t op = r.u8();
-    check(op <= static_cast<uint8_t>(Op::Program), "wire: bad op");
-    req.op = static_cast<Op>(op);
-    req.rotate_step = static_cast<int>(static_cast<int64_t>(r.u64()));
-    req.matmul_tiles = r.u64();
-    check(req.matmul_tiles >= 1 && req.matmul_tiles <= (1u << 20),
-          "wire: bad matmul tile count");
-    req.arrival_ns = r.f64();
-    check(std::isfinite(req.arrival_ns) && req.arrival_ns >= 0.0,
-          "wire: bad arrival time");
-    const uint8_t cost_only = r.u8();
-    check(cost_only <= 1, "wire: bad flag byte");
-    req.cost_only = cost_only != 0;
-    req.cost_only_level = r.u64();
-    check(req.cost_only_level <= 64, "wire: bad cost-only level");
-    const uint8_t hint = r.u8();
-    check(hint <= static_cast<uint8_t>(BackendHint::Gpu),
-          "wire: bad backend hint");
-    req.backend = static_cast<BackendHint>(hint);
-    const uint8_t count = r.u8();
-    if (req.op == Op::Program) {
-        // The exact arity is the shipped program's input count; the
-        // server checks it after parsing the program with its context.
-        // 64 matches the Program IR's own input bound.
-        check(count <= 64, "wire: bad input count");
-        check(!req.cost_only || count == 0,
-              "wire: cost-only request with inputs");
-    } else {
-        check(count <= 3, "wire: bad input count");
-        check(req.cost_only ? count == 0 : count == op_arity(req.op),
-              "wire: input count does not match op");
-    }
+    const uint8_t count = load_prefix(r, req);
     req.inputs.clear();
     req.inputs.reserve(count);
     for (uint8_t i = 0; i < count; ++i) {
@@ -124,9 +139,7 @@ void load(wire::Reader &r, Request &req) {
         req.inputs.emplace_back(view.begin(), view.end());
     }
     const uint64_t program_len = r.u64();
-    check(program_len <= (1u << 24), "wire: oversized program");
-    check(req.op == Op::Program ? program_len > 0 : program_len == 0,
-          "wire: program bytes do not match op");
+    check_program_len(req, program_len);
     const auto program = r.bytes(program_len);
     req.program.assign(program.begin(), program.end());
 }
@@ -207,40 +220,7 @@ constexpr std::size_t kMaxInputBytes = std::size_t{1} << 26;
 void StreamingRequestParser::finish_fixed() {
     check(pending_.size() == kFixedPrefixBytes, "wire: bad parser state");
     wire::Reader r(pending_);
-    check(r.u8() == static_cast<uint8_t>(wire::Tag::Request),
-          "wire: expected Request");
-    request_.session_id = r.u64();
-    const uint8_t op = r.u8();
-    check(op <= static_cast<uint8_t>(Op::Program), "wire: bad op");
-    request_.op = static_cast<Op>(op);
-    request_.rotate_step = static_cast<int>(static_cast<int64_t>(r.u64()));
-    request_.matmul_tiles = r.u64();
-    check(request_.matmul_tiles >= 1 && request_.matmul_tiles <= (1u << 20),
-          "wire: bad matmul tile count");
-    request_.arrival_ns = r.f64();
-    check(std::isfinite(request_.arrival_ns) && request_.arrival_ns >= 0.0,
-          "wire: bad arrival time");
-    const uint8_t cost_only = r.u8();
-    check(cost_only <= 1, "wire: bad flag byte");
-    request_.cost_only = cost_only != 0;
-    request_.cost_only_level = r.u64();
-    check(request_.cost_only_level <= 64, "wire: bad cost-only level");
-    const uint8_t hint = r.u8();
-    check(hint <= static_cast<uint8_t>(BackendHint::Gpu),
-          "wire: bad backend hint");
-    request_.backend = static_cast<BackendHint>(hint);
-    const uint8_t count = r.u8();
-    if (request_.op == Op::Program) {
-        check(count <= 64, "wire: bad input count");
-        check(!request_.cost_only || count == 0,
-              "wire: cost-only request with inputs");
-    } else {
-        check(count <= 3, "wire: bad input count");
-        check(request_.cost_only ? count == 0
-                                 : count == op_arity(request_.op),
-              "wire: input count does not match op");
-    }
-    input_count_ = count;
+    input_count_ = load_prefix(r, request_);
     request_.inputs.reserve(input_count_);
     start_next_input();
 }
@@ -293,9 +273,7 @@ bool StreamingRequestParser::feed(std::span<const uint8_t> bytes) {
                 } else {
                     wire::Reader r(pending_);
                     const uint64_t len = r.u64();
-                    check(len <= (1u << 24), "wire: oversized program");
-                    check(request_.op == Op::Program ? len > 0 : len == 0,
-                          "wire: program bytes do not match op");
+                    check_program_len(request_, len);
                     request_.program.reserve(
                         std::min<std::size_t>(len, wire::kMaxChunkPayload));
                     body_remaining_ = len;

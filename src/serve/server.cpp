@@ -187,11 +187,12 @@ void InferenceServer::submit(std::span<const uint8_t> request_bytes) {
     }
 }
 
-void InferenceServer::submit(Request request) {
+bool InferenceServer::submit(Request request) {
     if (request.op == Op::Program && !admit_program(request)) {
-        return;
+        return false;
     }
     pending_.push_back(std::move(request));
+    return true;
 }
 
 bool InferenceServer::admit_program(const Request &request) {
@@ -339,60 +340,45 @@ std::vector<Response> InferenceServer::run() {
 std::shared_ptr<const he::Program> InferenceServer::compiled_program(
     uint64_t session_id, std::span<const uint8_t> bytes,
     std::size_t input_level) {
-    // Session id + assumed input level + the raw program bytes: equal keys
-    // mean byte-equal submissions compiled under identical assumptions, so
-    // a hit can never serve the wrong circuit.
-    std::string key;
-    key.reserve(2 * sizeof(uint64_t) + bytes.size());
-    const uint64_t level64 = input_level;
-    key.append(reinterpret_cast<const char *>(&session_id),
-               sizeof(session_id));
-    key.append(reinterpret_cast<const char *>(&level64), sizeof(level64));
-    key.append(reinterpret_cast<const char *>(bytes.data()), bytes.size());
-    if (auto it = program_cache_.find(key); it != program_cache_.end()) {
-        ++program_cache_hits_;
-        ServeMetrics::instance().program_cache_hits.add();
-        return it->second;
-    }
-    ServeMetrics::instance().programs_compiled.add();
-
-    he::Program program = he::load_program(bytes, *host_);
-    util::require(program.outputs.size() == 1,
-                  "served programs must have exactly one output");
-    // Statically-rejected programs must never occupy a cache slot (or
-    // reach the compiler): normally the admission gate already refused
-    // them, but this path is also reachable through direct Request
-    // submission, so the verdict is re-checked before any insertion.
-    {
-        he::AnalyzerOptions aopts;
-        aopts.assume_alignment = true;
-        // load_program above validated structurally already.
-        aopts.assume_validated = true;
-        aopts.errors_only = true;  // only ok()/first error act here
-        he::AnalysisReport report =
-            he::ProgramAnalyzer(*host_, std::move(aopts))
-                .analyze(program, he::InputFacts{0, input_level, 0.0});
-        if (!report.ok()) {
-            // Sequenced before the move: function-argument evaluation
-            // order is unspecified, and summary() reads the diagnostics.
-            std::string what =
-                "serve: program rejected: " + report.summary();
-            throw he::ProgramRejected(std::move(what),
-                                      std::move(report.diagnostics));
-        }
-    }
     he::CompilerOptions copts;
     copts.input_level = input_level;
     copts.input_scale = kScale;  // the serving admission scale
-    he::ProgramCompiler compiler(*host_, copts);
-    auto compiled = std::make_shared<const he::Program>(
-        compiler.compile(program).program);
-
-    constexpr std::size_t kCacheCap = 256;
-    if (program_cache_.size() >= kCacheCap) {
-        program_cache_.clear();
+    bool missed = false;
+    auto compiled = compile_cache_.get_or_compile(
+        he::CompileCache::key(session_id, copts, bytes), [&] {
+            missed = true;
+            ServeMetrics::instance().programs_compiled.add();
+            he::Program program = he::load_program(bytes, *host_);
+            util::require(program.outputs.size() == 1,
+                          "served programs must have exactly one output");
+            // Every request passed admit_program on its way in, but that
+            // gate judged the request's facts; this input check judges
+            // the facts the compiler plans for, so "a statically
+            // rejected program never takes a cache slot or reaches the
+            // compiler" holds here on its own.  A rejection throws,
+            // which inserts nothing.
+            he::AnalyzerOptions aopts;
+            aopts.assume_alignment = true;
+            // load_program above validated structurally already.
+            aopts.assume_validated = true;
+            aopts.errors_only = true;  // only ok()/first error act here
+            he::AnalysisReport report =
+                he::ProgramAnalyzer(*host_, std::move(aopts))
+                    .analyze(program, he::InputFacts{0, input_level, 0.0});
+            if (!report.ok()) {
+                // Sequenced before the move: function-argument evaluation
+                // order is unspecified, and summary() reads the
+                // diagnostics.
+                std::string what =
+                    "serve: program rejected: " + report.summary();
+                throw he::ProgramRejected(std::move(what),
+                                          std::move(report.diagnostics));
+            }
+            return he::ProgramCompiler(*host_, copts).compile(program).program;
+        });
+    if (!missed) {
+        ServeMetrics::instance().program_cache_hits.add();
     }
-    program_cache_.emplace(std::move(key), compiled);
     return compiled;
 }
 
@@ -673,14 +659,10 @@ Response InferenceServer::execute_on(const Request &request,
                     stepped_rotate = he::rotate_program(request.rotate_step);
                     program = &stepped_rotate;
                 } else if (!is_program) {
-                    // Fixed-function requests run the same compiled form
-                    // the routine harness does (identity for these
-                    // programs — they are already minimal — but one code
-                    // path).
-                    const auto routine = static_cast<core::Routine>(request.op);
-                    program = config_.compile_programs
-                                  ? &core::routine_program_compiled(routine)
-                                  : &core::routine_program(routine);
+                    // Fixed-function requests run the routine's canonical
+                    // program as is: compile is the identity on it.
+                    program = &core::routine_program(
+                        static_cast<core::Routine>(request.op));
                 }
                 he::ProgramKeys keys;
                 keys.relin = relin;

@@ -23,9 +23,8 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
-#include "he/program.h"
+#include "he/compiler.h"
 #include "he/registry.h"
 #include "serve/key_manager.h"
 #include "serve/protocol.h"
@@ -160,7 +159,10 @@ public:
     /// that fails validation is answered immediately with a failed
     /// Response instead of crashing the server.
     void submit(std::span<const uint8_t> request_bytes);
-    void submit(Request request);
+    /// Returns true when the request was enqueued for the next run();
+    /// false when admission rejected it statically (Status::InvalidProgram,
+    /// answered from the next run() without reaching a lane).
+    bool submit(Request request);
 
     /// Admission from one chunk frame of a streamed request (see
     /// wire::chunk_message / serve::chunk_request).  Chunks of different
@@ -187,10 +189,10 @@ public:
     /// Compiled-program cache occupancy and hit count (for tests and
     /// capacity monitoring).
     std::size_t program_cache_size() const noexcept {
-        return program_cache_.size();
+        return compile_cache_.size();
     }
     std::size_t program_cache_hits() const noexcept {
-        return program_cache_hits_;
+        return compile_cache_.hits();
     }
 
 private:
@@ -247,13 +249,9 @@ private:
     bool has_relin_ = false;
     bool has_galois_ = false;
 
-    /// Compiled client circuits, keyed by the session id plus the raw
-    /// program bytes (collision-free: equal keys mean byte-equal
-    /// submissions from the same tenant).  Bounded with clear-on-overflow
-    /// so a tenant cycling circuits cannot grow the server unboundedly.
-    std::unordered_map<std::string,
-                       std::shared_ptr<const he::Program>> program_cache_;
-    std::size_t program_cache_hits_ = 0;
+    /// Compiled client circuits, scoped by session id and keyed by the
+    /// shipped program bytes.
+    he::CompileCache compile_cache_;
 
     /// In-flight chunked streams (see ChunkAssembler).
     ChunkAssembler chunks_;

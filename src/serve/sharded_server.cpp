@@ -118,8 +118,13 @@ bool ShardedServer::admit(Request request) {
         obs::Registry::global().counter("serve.failed").add();
         return false;
     }
+    // Only an enqueued request holds a credit: a statically rejected one
+    // is answered without reaching a lane, so it must not lock other
+    // sessions on the shard out of the window.
+    if (!shards_[shard]->submit(std::move(request))) {
+        return false;
+    }
     --credits_[shard];
-    shards_[shard]->submit(std::move(request));
     return true;
 }
 

@@ -85,9 +85,12 @@ public:
                                const ckks::RelinKeys &relin,
                                const ckks::GaloisKeys &galois);
 
-    /// Admission.  Returns false when the session's shard had no credits
-    /// left: the request was rejected with Status::Overloaded (the
-    /// response surfaces from the next run()) and must be retried later.
+    /// Admission.  Returns true when the request was enqueued, charging
+    /// its shard one credit.  Returns false when it was rejected, with
+    /// the response surfacing from the next run(): Status::Overloaded
+    /// when the session's shard had no credits left (retry later), or
+    /// Status::InvalidProgram when static verification refused it (no
+    /// credit charged).
     bool submit(Request request);
     bool submit(std::span<const uint8_t> request_bytes);
 

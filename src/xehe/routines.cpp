@@ -3,7 +3,6 @@
 #include <random>
 
 #include "ckks/encoder.h"
-#include "he/compiler.h"
 #include "he/registry.h"
 
 namespace xehe::core {
@@ -37,34 +36,6 @@ const he::Program &routine_program(Routine r) {
     return mul_lin;  // unreachable
 }
 
-const he::Program &routine_program_compiled(Routine r) {
-    // Context-free compile (canonicalize/CSE/DCE/prefuse): the canonical
-    // routines are context-independent, and none of them needs the
-    // planner — they are already minimal.
-    static const auto compile = [](const he::Program &p) {
-        return he::ProgramCompiler().compile(p).program;
-    };
-    static const he::Program mul_lin =
-        compile(routine_program(Routine::MulLin));
-    static const he::Program mul_lin_rs =
-        compile(routine_program(Routine::MulLinRS));
-    static const he::Program sqr_lin_rs =
-        compile(routine_program(Routine::SqrLinRS));
-    static const he::Program mul_lin_rs_modsw_add =
-        compile(routine_program(Routine::MulLinRSModSwAdd));
-    static const he::Program rotate =
-        compile(routine_program(Routine::Rotate));
-    switch (r) {
-        case Routine::MulLin: return mul_lin;
-        case Routine::MulLinRS: return mul_lin_rs;
-        case Routine::SqrLinRS: return sqr_lin_rs;
-        case Routine::MulLinRSModSwAdd: return mul_lin_rs_modsw_add;
-        case Routine::Rotate: return rotate;
-    }
-    util::require(false, "unknown routine");
-    return mul_lin;  // unreachable
-}
-
 void run_routine(const GpuEvaluator &evaluator, Routine routine,
                  const GpuCiphertext &a, const GpuCiphertext &b,
                  const GpuCiphertext &c, const ckks::RelinKeys &relin,
@@ -79,7 +50,7 @@ void run_routine(const GpuEvaluator &evaluator, Routine routine,
     const he::BackendBundle bundle =
         he::BackendRegistry::instance().create("gpu", env);
     auto &backend = static_cast<he::GpuBackend &>(bundle.backend());
-    const he::Program &program = routine_program_compiled(routine);
+    const he::Program &program = routine_program(routine);
     const he::Cipher inputs[3] = {backend.wrap(a), backend.wrap(b),
                                   backend.wrap(c)};
     he::ProgramKeys keys;

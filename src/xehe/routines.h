@@ -22,13 +22,6 @@ const char *routine_name(Routine r);
 /// have exactly one definition.
 const he::Program &routine_program(Routine r);
 
-/// The compiled form of routine_program(r) (cached).  The canonical
-/// routines are already in compiled normal form, so this pins the
-/// compiler's identity on them while routing the harness, the evaluator
-/// pool and the serving fixed-function path through the same compile
-/// step as client circuits.
-const he::Program &routine_program_compiled(Routine r);
-
 /// Runs one Section IV-C routine through `evaluator` on the given inputs
 /// by interpreting its canonical he::Program.  Shared by RoutineBench and
 /// the batched evaluator pool; the result is discarded (the paper

@@ -10,6 +10,7 @@
 
 #include "he/compiler.h"
 #include "he/session.h"
+#include "obs/trace.h"
 #include "serve/server.h"
 #include "xehe/routines.h"
 #include "xgpu/device.h"
@@ -440,9 +441,9 @@ TEST(HeCompiler, RoutineProgramsCompileToThemselves) {
         EXPECT_TRUE(compiled.report.bit_exact());
         EXPECT_EQ(compiled.report.cse_merged, 0u);
         EXPECT_EQ(compiled.report.dce_removed, 0u);
-        // The cached compiled form the harness/pool/server run agrees.
-        EXPECT_TRUE(he::structurally_equal(core::routine_program_compiled(r),
-                                           canonical));
+        // No fusion groups either: running the raw routine program (as
+        // the harness, pool and server do) is running its compiled form.
+        EXPECT_TRUE(compiled.program.fusion_groups.empty());
     }
 }
 
@@ -740,6 +741,98 @@ TEST(HeCompiler, SessionCompilesProgramsAndMatchesRawInterpretation) {
     // interpretations are bit-identical end to end.
     expect_bit_identical(compiled_1, raw_1, "compiled vs raw session run");
     expect_bit_identical(raw_1, raw_2, "raw determinism");
+}
+
+TEST(HeCompiler, SessionCompilesEachProgramOnce) {
+#if defined(XEHE_OBS_DISABLED)
+    GTEST_SKIP() << "tracing compiled out (XEHE_OBS=OFF)";
+#endif
+    CompilerRig rig;
+    core::GpuContext gpu(rig.host.context, xgpu::device1(),
+                         core::GpuOptions{});
+    core::GpuEvaluator evaluator(gpu);
+    he::GpuBackend backend(gpu, evaluator);
+    he::Session session(backend);
+    const auto a = session.encrypt(
+        std::vector<double>(rig.host.encoder.slots(), 0.25));
+    const he::Cipher inputs[1] = {a};
+
+    he::ProgramBuilder builder(1);
+    builder.output(builder.rescale(
+        builder.relinearize(builder.square(builder.input(0)))));
+    const he::Program program = builder.build();
+
+    // Restores the global recorder even when an assertion fails.
+    struct Recorder {
+        Recorder() { obs::TraceRecorder::instance().enable(1 << 12); }
+        ~Recorder() {
+            obs::TraceRecorder::instance().disable();
+            obs::TraceRecorder::instance().clear();
+        }
+    } recorder;
+    for (int run = 0; run < 3; ++run) {
+        session.run(program, inputs);
+    }
+    std::size_t compiles = 0;
+    for (const obs::SpanRecord &span :
+         obs::TraceRecorder::instance().snapshot()) {
+        compiles += span.name == "compile.program" ? 1 : 0;
+    }
+    EXPECT_EQ(compiles, 1u);
+}
+
+TEST(HeCompiler, CompileCacheKeysOnScopeAssumptionsAndBytes) {
+    he::CompileCache cache;
+    const std::vector<uint8_t> bytes = {1, 2, 3};
+    const he::CompilerOptions base;
+    std::size_t compiles = 0;
+    const auto miss = [&] {
+        ++compiles;
+        return he::Program{};
+    };
+
+    const auto first = cache.get_or_compile(
+        he::CompileCache::key(0, base, bytes), miss);
+    const auto again = cache.get_or_compile(
+        he::CompileCache::key(0, base, bytes), miss);
+    EXPECT_EQ(first, again);
+    EXPECT_EQ(compiles, 1u);
+    EXPECT_EQ(cache.hits(), 1u);
+
+    // Each differing component is its own entry.
+    he::CompilerOptions level = base;
+    level.input_level = 2;
+    he::CompilerOptions scale = base;
+    scale.input_scale = -0.0;  // equal to 0.0, but not bit-equal
+    he::CompilerOptions snap = base;
+    snap.snap_tolerance = 0.5;
+    const std::vector<uint8_t> other_bytes = {1, 2, 4};
+    cache.get_or_compile(he::CompileCache::key(1, base, bytes), miss);
+    cache.get_or_compile(he::CompileCache::key(0, level, bytes), miss);
+    cache.get_or_compile(he::CompileCache::key(0, scale, bytes), miss);
+    cache.get_or_compile(he::CompileCache::key(0, snap, bytes), miss);
+    cache.get_or_compile(he::CompileCache::key(0, base, other_bytes), miss);
+    EXPECT_EQ(compiles, 6u);
+    EXPECT_EQ(cache.size(), 6u);
+    EXPECT_EQ(cache.hits(), 1u);
+
+    // A throwing miss inserts nothing, so the next lookup compiles again.
+    const auto rejected_key = he::CompileCache::key(2, base, bytes);
+    EXPECT_THROW(cache.get_or_compile(rejected_key,
+                                      []() -> he::Program {
+                                          throw std::invalid_argument("no");
+                                      }),
+                 std::invalid_argument);
+    EXPECT_EQ(cache.size(), 6u);
+    cache.get_or_compile(rejected_key, miss);
+    EXPECT_EQ(compiles, 7u);
+
+    // Bounded: distinct keys past the capacity never grow it beyond.
+    for (uint64_t scope = 0; scope <= he::CompileCache::kCapacity; ++scope) {
+        cache.get_or_compile(
+            he::CompileCache::key(100 + scope, base, bytes), miss);
+        ASSERT_LE(cache.size(), he::CompileCache::kCapacity);
+    }
 }
 
 TEST(HeCompiler, ServerCompileCacheServesRepeatSubmissionsBitExact) {

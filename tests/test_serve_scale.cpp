@@ -459,6 +459,64 @@ TEST(ServeScale, BurstBeyondCreditsGetsTypedOverload) {
     EXPECT_TRUE(server.submit(b.cost_request(77)));
 }
 
+// Regression: a shard charged a credit before static verification ran, so
+// statically rejected programs burned the window and a tenant shipping
+// invalid circuits locked the shard's other requests out until the next
+// drain.  Only an enqueued request may hold a credit.
+TEST(ServeScale, StaticallyRejectedProgramsChargeNoCredit) {
+    ScaleBench b;
+    ShardedConfig cfg;
+    cfg.shard_count = 1;
+    cfg.credits_per_shard = 2;
+    cfg.shard.functional = false;
+    ShardedServer server(b.host.context, xgpu::device1(), core::GpuOptions{},
+                         cfg);
+    server.set_keys(b.relin, b.galois);
+
+    // One rescale past the modulus chain: a provable LevelUnderflow.
+    he::ProgramBuilder bad(1);
+    auto chain = bad.input(0);
+    for (std::size_t i = 0; i < b.host.context.max_level(); ++i) {
+        chain = bad.rescale(chain);
+    }
+    bad.output(chain);
+    he::ProgramBuilder good(2);
+    good.output(good.add(good.input(0), good.input(1)));
+
+    const auto program_request = [&](const he::Program &program) {
+        Request req;
+        req.session_id = 5;
+        req.op = Op::Program;
+        req.cost_only = true;
+        req.program = wire::serialize(program);
+        return req;
+    };
+    const he::Program underflow = bad.build();
+    EXPECT_FALSE(server.submit(program_request(underflow)));
+    EXPECT_FALSE(server.submit(program_request(underflow)));
+    EXPECT_EQ(server.credits(0), cfg.credits_per_shard);
+    EXPECT_TRUE(server.submit(program_request(good.build())));
+    EXPECT_EQ(server.credits(0), cfg.credits_per_shard - 1);
+
+    const auto responses = server.run();
+    ASSERT_EQ(responses.size(), 3u);
+    std::size_t invalid = 0;
+    std::size_t ok = 0;
+    for (const auto &resp : responses) {
+        if (resp.ok) {
+            ++ok;
+        } else {
+            EXPECT_EQ(resp.code, Status::InvalidProgram) << resp.error;
+            ++invalid;
+        }
+    }
+    EXPECT_EQ(ok, 1u);
+    EXPECT_EQ(invalid, 2u);
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.overloaded, 0u);
+    EXPECT_EQ(stats.invalid_programs, 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Regression: key re-registration under churn
 // ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@
 // of bounds (the ASan/UBSan CI matrix runs this suite).
 #include "test_common.h"
 
+#include <bit>
+#include <limits>
+
 #include "serve/protocol.h"
 #include "wire/wire.h"
 
@@ -340,6 +343,96 @@ TEST(WireProtocol, BackendHintRoundTripAndValidation) {
             static_cast<uint8_t>(sum >> (8 * i));
     }
     EXPECT_THROW(serve::load_request(bytes), WireError);
+}
+
+// Differential: the monolithic loader and the chunked assembler decode the
+// Request header through one helper, so a mutant of any header field
+// whose checksums are recomputed (it passes open_envelope and open_chunk)
+// must be rejected by both paths with the same message.
+TEST(WireProtocol, HeaderFieldMutantsRejectedAlikeByBothPaths) {
+    serve::Request req;
+    req.op = serve::Op::MulLin;
+    req.inputs = {{1, 2, 3}, {4, 5}};
+    wire::Writer w;
+    serve::save(w, req);
+    const std::vector<uint8_t> body = w.take();
+
+    const auto envelope = [](const std::vector<uint8_t> &payload) {
+        wire::Writer e;
+        e.u32(wire::kMagic);
+        e.u16(wire::kVersion);
+        e.u16(0);
+        e.u64(payload.size());
+        e.bytes(payload);
+        e.u64(wire::detail::fnv1a64(payload));
+        return e.take();
+    };
+    ASSERT_EQ(envelope(body), wire::serialize(req));
+
+    // Both paths' verdict on one body: "" when it loads.
+    const auto monolithic = [&](const std::vector<uint8_t> &payload) {
+        const auto bytes = envelope(payload);
+        EXPECT_NO_THROW(wire::detail::open_envelope(bytes));
+        try {
+            serve::load_request(bytes);
+        } catch (const WireError &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    const auto chunked = [](const std::vector<uint8_t> &payload) {
+        serve::ChunkAssembler assembler;
+        for (const auto &frame : wire::chunk_message(9, payload, 16)) {
+            EXPECT_NO_THROW(wire::open_chunk(frame));
+            auto out = assembler.feed(frame);
+            if (!out.error.empty()) {
+                return out.error;
+            }
+        }
+        return std::string();
+    };
+    ASSERT_EQ(monolithic(body), "");
+    ASSERT_EQ(chunked(body), "");
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double negative = -1.0;
+    // Offsets into the fixed prefix: tag 0, session 1, op 9, rotate 10,
+    // matmul 18, arrival 26, cost_only 34, cost_level 35, hint 43,
+    // input count 44; the program length follows the two inputs.
+    struct Mutant {
+        const char *field;
+        std::size_t offset;
+        std::size_t width;
+        uint64_t value;
+        const char *error;
+    };
+    const Mutant mutants[] = {
+        {"op", 9, 1, 7, "wire: bad op"},
+        {"tile count 0", 18, 8, 0, "wire: bad matmul tile count"},
+        {"tile count 2^20+1", 18, 8, (1u << 20) + 1,
+         "wire: bad matmul tile count"},
+        {"arrival NaN", 26, 8, std::bit_cast<uint64_t>(nan),
+         "wire: bad arrival time"},
+        {"arrival negative", 26, 8, std::bit_cast<uint64_t>(negative),
+         "wire: bad arrival time"},
+        {"flag byte", 34, 1, 2, "wire: bad flag byte"},
+        {"cost-only level", 35, 8, 65, "wire: bad cost-only level"},
+        {"hint", 43, 1, 3, "wire: bad backend hint"},
+        {"input count 4", 44, 1, 4, "wire: bad input count"},
+        {"input count 1", 44, 1, 1, "wire: input count does not match op"},
+        {"program length", 45 + (8 + 3) + (8 + 2), 8, 1,
+         "wire: program bytes do not match op"},
+    };
+    for (const Mutant &m : mutants) {
+        SCOPED_TRACE(m.field);
+        std::vector<uint8_t> mutated = body;
+        for (std::size_t i = 0; i < m.width; ++i) {
+            mutated[m.offset + i] = static_cast<uint8_t>(m.value >> (8 * i));
+        }
+        const std::string expected = m.error;
+        EXPECT_EQ(monolithic(mutated), expected);
+        EXPECT_EQ(chunked(mutated), expected);
+    }
 }
 
 // ---------------------------------------------------------------------------
