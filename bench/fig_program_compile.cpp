@@ -371,20 +371,15 @@ int main(int argc, char **argv) {
                            analyze_ms, "ms", Better::Lower, Clock::Wall});
         metrics.push_back({"program_compile/analysis/compile_ms",
                            compile_ms, "ms", Better::Lower, Clock::Wall});
+        // A wall-clock ratio: its < 5% bound is checked from the JSON
+        // in CI's own "Analyzer overhead gate" step, kept apart from the
+        // deterministic gates this binary's exit status reports.
         metrics.push_back({"program_compile/analysis/overhead_pct", pct, "%",
                            Better::Lower, Clock::Wall});
-        if (pct >= 5.0) {
-            std::fprintf(stderr,
-                         "gate: analysis overhead %.2f%% of the "
-                         "compile-on-admit step (must stay < 5%%)\n",
-                         pct);
-            ok = false;
-        }
     }
 
     std::printf("\ngates: redundant levels strictly fewer; deep >= 1.1x; "
-                "routines >= 0.995x; analysis < 5%% of compile-on-admit "
-                "— %s\n",
+                "routines >= 0.995x — %s\n",
                 ok ? "all hold" : "FAILED");
 
     if (!json_path.empty()) {

@@ -26,15 +26,17 @@ void ComplexFft::forward(std::span<std::complex<double>> a) const {
     util::require(a.size() == n_, "FFT size mismatch");
     std::size_t gap = n_ >> 1;
     for (std::size_t m = 1; m < n_; m <<= 1) {
-        for (std::size_t ind = 0; ind < (n_ >> 1); ++ind) {
-            const std::size_t i = ind / gap;
-            const std::size_t j = ind - i * gap;
-            const std::size_t idx = i * 2 * gap + j;
-            const std::complex<double> w = roots_[m + i];
-            const std::complex<double> u = a[idx];
-            const std::complex<double> v = a[idx + gap] * w;
-            a[idx] = u + v;
-            a[idx + gap] = u - v;
+        // m groups of `gap` butterflies; group i uses root m + i.
+        const std::complex<double> *w = roots_.data() + m;
+        std::complex<double> *x = a.data();
+        for (std::size_t i = 0; i < m; ++i, ++w, x += 2 * gap) {
+            std::complex<double> *y = x + gap;
+            for (std::size_t j = 0; j < gap; ++j) {
+                const std::complex<double> u = x[j];
+                const std::complex<double> v = y[j] * *w;
+                x[j] = u + v;
+                y[j] = u - v;
+            }
         }
         gap >>= 1;
     }
@@ -44,16 +46,16 @@ void ComplexFft::inverse(std::span<std::complex<double>> a) const {
     util::require(a.size() == n_, "FFT size mismatch");
     std::size_t gap = 1;
     for (std::size_t m = n_ >> 1; m >= 1; m >>= 1) {
-        const std::size_t base = n_ - 2 * m + 1;
-        for (std::size_t ind = 0; ind < (n_ >> 1); ++ind) {
-            const std::size_t i = ind / gap;
-            const std::size_t j = ind - i * gap;
-            const std::size_t idx = i * 2 * gap + j;
-            const std::complex<double> w = inv_roots_[base + i];
-            const std::complex<double> u = a[idx];
-            const std::complex<double> v = a[idx + gap];
-            a[idx] = u + v;
-            a[idx + gap] = (u - v) * w;
+        const std::complex<double> *w = inv_roots_.data() + (n_ - 2 * m + 1);
+        std::complex<double> *x = a.data();
+        for (std::size_t i = 0; i < m; ++i, ++w, x += 2 * gap) {
+            std::complex<double> *y = x + gap;
+            for (std::size_t j = 0; j < gap; ++j) {
+                const std::complex<double> u = x[j];
+                const std::complex<double> v = y[j];
+                x[j] = u + v;
+                y[j] = (u - v) * *w;
+            }
         }
         gap <<= 1;
     }
@@ -150,7 +152,12 @@ std::vector<std::complex<double>> CkksEncoder::decode(
     const Plaintext &plain) const {
     const std::size_t n = context_->n();
     const std::size_t slots = context_->slots();
-    util::require(plain.n == n && plain.rns >= 1, "malformed plaintext");
+    // Validate before anything indexes by plain.rns or plain.data.
+    util::require(plain.n == n && plain.rns >= 1 &&
+                      plain.rns <= context_->max_level(),
+                  "malformed plaintext");
+    util::require(plain.data.size() == plain.rns * n,
+                  "plaintext data size mismatch");
     util::require(plain.ntt_form, "decode expects NTT form");
 
     // Back to coefficient representation.
@@ -158,25 +165,11 @@ std::vector<std::complex<double>> CkksEncoder::decode(
     poly::intt(coeffs, context_->tables(plain.rns), n);
 
     // CRT-compose each coefficient, center, and scale down.
-    const RnsBase &base = context_->data_base(plain.rns);
-    const util::BigUInt &product = base.product();
-    const util::BigUInt threshold = product.shr1();
+    std::vector<double> composed(n);
+    context_->data_base(plain.rns).compose_centered(coeffs, composed);
     std::vector<std::complex<double>> values(n);
-    std::vector<uint64_t> residues(plain.rns);
     for (std::size_t k = 0; k < n; ++k) {
-        for (std::size_t r = 0; r < plain.rns; ++r) {
-            residues[r] = coeffs[r * n + k];
-        }
-        util::BigUInt composed = base.compose(residues);
-        double coeff;
-        if (composed >= threshold) {
-            util::BigUInt centered = product;
-            centered.sub_assign(composed);
-            coeff = -centered.to_double();
-        } else {
-            coeff = composed.to_double();
-        }
-        values[k] = {coeff / plain.scale, 0.0};
+        values[k] = {composed[k] / plain.scale, 0.0};
     }
 
     fft_.forward(values);

@@ -45,11 +45,30 @@ public:
     /// CRT composition: the unique x < Q with x ≡ residues[i] (mod q_i).
     BigUInt compose(std::span<const uint64_t> residues) const;
 
+    /// CRT composition centred into [-Q/2, Q/2) and converted to double,
+    /// for out.size() values at once: `residues` is component-major, value
+    /// k's residue mod q_i at residues[i * out.size() + k].  x =
+    /// compose(value k's residues) maps to -(Q - x) when x >= floor(Q/2),
+    /// and the magnitude converts by the same top-down Horner as
+    /// BigUInt::to_double, so out[k] is that path's double bit for bit.
+    /// Works in fixed-width words, allocating only per call.
+    void compose_centered(std::span<const uint64_t> residues,
+                          std::span<double> out) const;
+
 private:
     std::vector<Modulus> moduli_;
     BigUInt product_;
     std::vector<BigUInt> punctured_;
     std::vector<MultiplyModOperand> inv_punctured_;
+    // compose_centered operands as little-endian words, zero-padded to
+    // width_ = words(2Q) words.  columns_ holds word w of Q/q_0, ...,
+    // Q/q_{size()-1} and of 2^(64 width_) - Q at [w * (size() + 1) + i],
+    // the order its product-scanning loop reads them in.
+    std::size_t width_ = 0;
+    std::vector<uint64_t> columns_;
+    std::vector<double> inv_moduli_;       ///< 1.0 / q_i
+    std::vector<uint64_t> product_words_;  ///< Q
+    std::vector<uint64_t> half_words_;     ///< floor(Q/2)
 };
 
 /// Fast (approximate, HPS-style) base conversion of RNS residues from base

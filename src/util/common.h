@@ -12,6 +12,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace xehe::util {
 
@@ -53,9 +54,12 @@ constexpr uint64_t reverse_bits(uint64_t operand, int bit_count) noexcept {
 }
 
 /// Throws std::invalid_argument with `message` if `condition` is false.
-inline void require(bool condition, const std::string &message) {
+/// Takes a view so a literal message costs nothing on the passing path
+/// (a std::string parameter would heap-allocate any message past the
+/// small-string buffer on every call, hot loops included).
+inline void require(bool condition, std::string_view message) {
     if (!condition) {
-        throw std::invalid_argument(message);
+        throw std::invalid_argument(std::string(message));
     }
 }
 

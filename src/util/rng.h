@@ -7,7 +7,7 @@
 #include <span>
 #include <vector>
 
-#include "util/modulus.h"
+#include "util/modarith.h"
 
 namespace xehe::util {
 
@@ -55,7 +55,9 @@ private:
 /// everywhere.  It therefore uses rejection sampling on raw mt19937_64
 /// words (the engine's output sequence is fully specified by the standard)
 /// instead of std::uniform_int_distribution, whose algorithm is
-/// implementation-defined and may differ across standard libraries.
+/// implementation-defined and may differ across standard libraries.  The
+/// accepted word is reduced by Barrett, the same x mod q without a
+/// division.
 inline void expand_uniform_seeded(std::span<uint64_t> out,
                                   std::span<const Modulus> moduli,
                                   std::size_t n, uint64_t seed) {
@@ -71,7 +73,7 @@ inline void expand_uniform_seeded(std::span<uint64_t> out,
             while (x >= limit) {
                 x = engine();
             }
-            out[r * n + k] = x % q;
+            out[r * n + k] = barrett_reduce_64(x, moduli[r]);
         }
     }
 }

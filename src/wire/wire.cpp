@@ -213,11 +213,27 @@ std::span<const uint8_t> Reader::bytes(std::size_t count) {
 
 namespace detail {
 
-uint64_t fnv1a64(std::span<const uint8_t> data) {
-    uint64_t hash = 14695981039346656037ull;
-    for (const uint8_t byte : data) {
-        hash ^= byte;
-        hash *= 1099511628211ull;
+uint64_t checksum64(std::span<const uint8_t> data) {
+    constexpr uint64_t kPrime = 0x100000001b3ull;
+    uint64_t hash = 0xcbf29ce484222325ull;
+    const std::size_t whole = data.size() & ~std::size_t{7};
+    for (std::size_t i = 0; i < whole; i += 8) {
+        uint64_t word = 0;
+        if constexpr (std::endian::native == std::endian::little) {
+            std::memcpy(&word, data.data() + i, 8);
+        } else {
+            for (std::size_t b = 0; b < 8; ++b) {
+                word |= uint64_t{data[i + b]} << (8 * b);
+            }
+        }
+        // The multiply only carries differences upward; folding the high
+        // half back down keeps a bit-63 difference from passing through
+        // unchanged, where a second one in a later word would cancel it.
+        hash = (hash ^ word) * kPrime;
+        hash ^= hash >> 32;
+    }
+    for (std::size_t i = whole; i < data.size(); ++i) {
+        hash = (hash ^ data[i]) * kPrime;
     }
     return hash;
 }
@@ -237,7 +253,7 @@ std::span<const uint8_t> open_envelope(std::span<const uint8_t> buffer) {
     check(payload_len == buffer.size() - kEnvelopeBytes,
           "wire: payload length mismatch");
     const auto payload = r.bytes(payload_len);
-    check(r.u64() == fnv1a64(payload), "wire: checksum mismatch");
+    check(r.u64() == checksum64(payload), "wire: checksum mismatch");
     return payload;
 }
 
@@ -576,7 +592,7 @@ std::vector<std::vector<uint8_t>> chunk_message(uint64_t stream_id,
         w.u64(offset);
         w.u64(body.size());
         w.bytes(body.subspan(offset, len));
-        w.u64(detail::fnv1a64(w.buffer()));
+        w.u64(detail::checksum64(w.buffer()));
         frames.push_back(w.take());
     }
     return frames;
@@ -589,7 +605,7 @@ ChunkView open_chunk(std::span<const uint8_t> frame) {
     // header fields can be trusted for a finer-grained diagnosis.
     Reader tail(frame.subspan(frame.size() - 8));
     check(tail.u64() ==
-              detail::fnv1a64(frame.subspan(0, frame.size() - 8)),
+              detail::checksum64(frame.subspan(0, frame.size() - 8)),
           "wire: chunk checksum mismatch");
     Reader r(frame);
     check(r.u32() == kChunkMagic, "wire: bad chunk magic");

@@ -5,9 +5,18 @@
 // Layout: every top-level object travels in an envelope
 //
 //   u32 magic "XEHE" | u16 version | u16 reserved | u64 payload_len |
-//   payload (tagged body) | u64 FNV-1a(payload)
+//   payload (tagged body) | u64 checksum64(payload)
 //
-// with all integers little-endian regardless of host byte order.  The
+// with all integers little-endian regardless of host byte order.
+// checksum64 is FNV-1a taken a 64-bit word at a time: h starts at the
+// FNV-64 offset basis 0xcbf29ce484222325; each whole 8-byte group of the
+// input, read as a little-endian u64 w, folds in as h = (h ^ w) *
+// 0x100000001b3 (mod 2^64) followed by h ^= h >> 32; the 0-7 trailing
+// bytes b then fold in one at a time as h = (h ^ b) * 0x100000001b3, with
+// no shift.  Each step is a bijection of h, so any change confined to one
+// word (or one tail byte) is detected.  The shift moves high-bit
+// differences down: without it, bit 63 flipped in any two words cancels
+// (odd P maps a bit-63 difference to itself).  The
 // trailing checksum plus strict bounds/validity checks on every field mean
 // a truncated or bit-flipped buffer is rejected with a typed WireError —
 // deserialization never reads out of bounds and never constructs an
@@ -36,13 +45,15 @@ public:
 };
 
 inline constexpr uint32_t kMagic = 0x45484558u;  ///< "XEHE", little-endian
-/// Version 4: adds the per-request backend-selection hint of
-/// serve::Request.  (Version 3 added the typed status code of
+/// Version 5: the envelope and chunk-frame checksum is checksum64, the
+/// word-wise FNV-1a above, in place of byte-serial FNV-1a.  (Version 4
+/// added the per-request backend-selection hint of serve::Request;
+/// version 3 the typed status code of
 /// serve::Response and the chunked streaming frames (kChunkMagic) that
 /// carry large requests as bounded, checksummed segments; version 2 the
 /// Program payload and the program field of serve::Request.)  Loads
 /// reject other versions.
-inline constexpr uint16_t kVersion = 4;
+inline constexpr uint16_t kVersion = 5;
 /// Envelope header: magic + version + reserved + payload length.
 inline constexpr std::size_t kHeaderBytes = 16;
 /// Envelope overhead: 16-byte header + 8-byte payload checksum.
@@ -159,7 +170,9 @@ void load(Reader &r, const ckks::CkksContext &ctx, ckks::GaloisKeys &keys);
 // ---------------------------------------------------------------------------
 
 namespace detail {
-uint64_t fnv1a64(std::span<const uint8_t> data);
+/// Word-wise FNV-1a with a high-half fold per word (see the layout
+/// comment at the top of this file).
+uint64_t checksum64(std::span<const uint8_t> data);
 /// Validates magic/version/length/checksum; returns the payload view.
 std::span<const uint8_t> open_envelope(std::span<const uint8_t> buffer);
 }  // namespace detail
@@ -200,7 +213,7 @@ std::vector<uint8_t> serialize(const T &obj) {
     w.u64(0);  // payload length, patched once the body is written
     save(w, obj);
     w.patch_u64(8, w.size() - kHeaderBytes);
-    w.u64(detail::fnv1a64(
+    w.u64(detail::checksum64(
         std::span<const uint8_t>(w.buffer()).subspan(kHeaderBytes)));
     return w.take();
 }
@@ -213,7 +226,7 @@ std::vector<uint8_t> serialize(const T &obj) {
 //
 //   u32 chunk magic "XEHC" | u16 version | u16 flags (bit 0: last chunk) |
 //   u64 stream_id | u32 seq | u32 payload_len | u64 offset | u64 total_len |
-//   payload | u64 FNV-1a(frame minus checksum)
+//   payload | u64 checksum64(frame minus checksum)
 //
 // Receivers validate magic/version/bounds/continuity per frame and feed
 // the payload straight to an incremental parser; corruption is caught at
@@ -228,7 +241,7 @@ inline constexpr std::size_t kMaxChunkPayload = 64 * 1024;
 inline constexpr uint64_t kMaxStreamBytes = uint64_t{1} << 28;
 /// Fixed frame overhead: the 40-byte header (magic u32, version u16,
 /// flags u16, stream_id u64, seq u32, payload_len u32, offset u64,
-/// total_len u64) plus the trailing 8-byte FNV-1a checksum.
+/// total_len u64) plus the trailing 8-byte checksum64.
 inline constexpr std::size_t kChunkHeaderBytes = 40;
 inline constexpr std::size_t kChunkOverheadBytes = kChunkHeaderBytes + 8;
 

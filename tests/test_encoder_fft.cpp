@@ -3,7 +3,12 @@
 // magnitude preservation, and scale handling.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <random>
+#include <sstream>
+
 #include "ckks/encoder.h"
+#include "ckks/encryptor.h"
 #include "test_common.h"
 
 namespace xc = xehe::ckks;
@@ -148,5 +153,137 @@ TEST(Encoder, DecodeAfterModSwitchSemantics) {
     const auto decoded = encoder.decode(dropped);
     for (std::size_t i = 0; i < values.size(); ++i) {
         EXPECT_LT(std::abs(decoded[i] - values[i]), 1e-6);
+    }
+}
+
+TEST(Encoder, DecodeValidatesShapeBeforeIndexing) {
+    // Both malformed shapes must be a typed rejection before the inverse
+    // NTT or the RNS base index anything by plain.rns or plain.data.
+    const xc::CkksContext context(xc::EncryptionParameters::create(1024, 2));
+    const xc::CkksEncoder encoder(context);
+    const auto plain = encoder.encode(0.5, std::ldexp(1.0, 30));
+
+    xc::Plaintext too_many_primes = plain;
+    too_many_primes.rns = context.max_level() + 1;
+    too_many_primes.data.resize(too_many_primes.rns * too_many_primes.n);
+    EXPECT_THROW(encoder.decode(too_many_primes), std::invalid_argument);
+    too_many_primes.rns = context.max_level() + 5;
+    too_many_primes.data.resize(too_many_primes.rns * too_many_primes.n);
+    EXPECT_THROW(encoder.decode(too_many_primes), std::invalid_argument);
+
+    xc::Plaintext short_data = plain;
+    short_data.data.resize(plain.data.size() - 1);
+    EXPECT_THROW(encoder.decode(short_data), std::invalid_argument);
+    xc::Plaintext empty_data = plain;
+    empty_data.data.clear();
+    EXPECT_THROW(encoder.decode(empty_data), std::invalid_argument);
+}
+
+namespace {
+
+/// 64-bit FNV-1a over 64-bit words, byte by byte (as in NttGolden).
+uint64_t fnv1a_words(std::span<const uint64_t> words) {
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const uint64_t w : words) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (w >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+/// Fingerprint of decoded slots: the IEEE-754 bit patterns of every real
+/// and imaginary part, so a change in the last ulp shows.
+uint64_t fnv1a_doubles(const std::vector<complexd> &values) {
+    std::vector<uint64_t> bits;
+    bits.reserve(2 * values.size());
+    for (const auto &v : values) {
+        bits.push_back(std::bit_cast<uint64_t>(v.real()));
+        bits.push_back(std::bit_cast<uint64_t>(v.imag()));
+    }
+    return fnv1a_words(bits);
+}
+
+/// One pinned codec image: a context of `levels` data primes, a
+/// plaintext of `rns` active primes at scale 2^log_scale.
+struct PinnedCodec {
+    std::size_t n;
+    std::size_t levels;
+    std::size_t rns;
+    int log_scale;
+    uint64_t encoded;         ///< encode(random slots) words
+    uint64_t decoded;         ///< decode(encode(random slots)) bits
+    uint64_t decoded_random;  ///< decode(uniform random residues) bits
+    uint64_t encrypted;       ///< encrypt_symmetric(encode(...)) words
+};
+
+const PinnedCodec kPinnedCodecs[] = {
+    {1024, 2, 1, 30, 0xfa23439bdc135853ull, 0x70b43cd060efd46full,
+     0x5cf3d26eed77b3d4ull, 0x364a4890e8ff3288ull},
+    {1024, 2, 2, 40, 0x73e0f136b3c4e1b2ull, 0x524855d2dbd7d734ull,
+     0x132b341f35c54775ull, 0x2887ac36055d1010ull},
+    {8192, 3, 2, 45, 0x75b10028d52578d7ull, 0x4f42f32ca5244742ull,
+     0x926818e963c94d63ull, 0xaa52fda0d8b70de7ull},
+    {8192, 3, 3, 40, 0x17deb162774ef984ull, 0x317dbeebffb06708ull,
+     0x5e414086f2369827ull, 0x44d2f1da1d480878ull},
+    {32768, 8, 3, 40, 0xf7e6d2b8bbb76937ull, 0x08daf8448e957ae2ull,
+     0xd4210c2b6550b5f8ull, 0x2ee2291a606eccb1ull},
+    {32768, 8, 8, 40, 0x1ea0164cd600f682ull, 0x5d16edc63af14ee2ull,
+     0x4936df1fde3a2544ull, 0x2ed1b2d912e977f1ull},
+};
+
+/// Which pinned image a failure belongs to.
+std::string describe(const PinnedCodec &pin) {
+    std::ostringstream os;
+    os << "n=" << pin.n << " rns=" << pin.rns << " scale=2^" << pin.log_scale;
+    return os.str();
+}
+
+}  // namespace
+
+TEST(CkksGolden, PinnedEncodeDecodeHashes) {
+    // Fixed-seed images recorded from an earlier build: the encoder's
+    // plaintext words, the decoder's doubles and the symmetric
+    // ciphertext words must reproduce them bit for bit.  The random-residue
+    // plaintext decodes to values spread over the whole of [-Q/2, Q/2), so
+    // CRT composition and centring are pinned far from the
+    // small-coefficient regime an encoded message occupies.
+    const auto pinned = [](uint64_t got, uint64_t want, const char *what) {
+        std::ostringstream hex;
+        hex << "0x" << std::hex << got;
+        EXPECT_EQ(got, want) << what << " got " << hex.str();
+    };
+    for (const auto &pin : kPinnedCodecs) {
+        SCOPED_TRACE(describe(pin));
+        const auto params = xc::EncryptionParameters::create(pin.n, pin.levels);
+        const xc::CkksContext context(params);
+        const xc::CkksEncoder encoder(context);
+        const double scale = std::ldexp(1.0, pin.log_scale);
+        const std::size_t seed = pin.n + pin.rns + pin.log_scale;
+        const auto values = random_complex(encoder.slots(), seed);
+        const std::span<const complexd> slots(values);
+        const auto plain = encoder.encode(slots, scale, pin.rns);
+        pinned(fnv1a_words(plain.data), pin.encoded, "encode");
+        pinned(fnv1a_doubles(encoder.decode(plain)), pin.decoded, "decode");
+
+        xc::Plaintext random = plain;
+        std::mt19937_64 rng(0x5eed + pin.n + pin.rns);
+        for (std::size_t r = 0; r < random.rns; ++r) {
+            const uint64_t q = context.key_modulus()[r].value();
+            for (auto &x : random.component(r)) {
+                x = rng() % q;
+            }
+        }
+        pinned(fnv1a_doubles(encoder.decode(random)), pin.decoded_random,
+               "decode(random)");
+
+        // Symmetric encryption pins the seeded uniform expansion and the
+        // error sampler along with the encoding.
+        const xc::KeyGenerator keygen(context);
+        xc::Encryptor encryptor(context, xc::PublicKey{}, keygen.secret_key(),
+                                0xE4C + pin.n);
+        const auto ct = encryptor.encrypt_symmetric(plain);
+        pinned(fnv1a_words(ct.data), pin.encrypted, "encrypt_symmetric");
     }
 }

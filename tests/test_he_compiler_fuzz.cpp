@@ -536,6 +536,25 @@ struct Fnv1a {
     }
 };
 
+/// The compiled program's envelope re-framed as wire version 4: version
+/// field 4 and the byte-serial FNV-1a of the payload as its checksum.
+/// The hashes below were recorded over v4 envelopes; the payload, which
+/// is all the compiler determines, is hashed unchanged, so the pin does
+/// not move with the wire version or its checksum function.
+std::vector<uint8_t> as_v4_envelope(std::vector<uint8_t> bytes) {
+    bytes[4] = 4;
+    bytes[5] = 0;
+    Fnv1a payload;
+    const std::size_t end = bytes.size() - 8;
+    for (std::size_t i = wire::kHeaderBytes; i < end; ++i) {
+        payload.byte(bytes[i]);
+    }
+    for (std::size_t i = 0; i < 8; ++i) {
+        bytes[end + i] = static_cast<uint8_t>(payload.h >> (8 * i));
+    }
+    return bytes;
+}
+
 void hash_stats(Fnv1a &h, const he::ProgramStats &s) {
     for (const std::size_t field :
          {s.nodes, s.constants, s.outputs, s.multiplies, s.plain_multiplies,
@@ -657,7 +676,7 @@ TEST(HeCompilerFuzz, PinnedCompileAndAnalysisHashes) {
             try {
                 const he::CompiledProgram c = compiler.compile(p);
                 compile_hash.u64(1);
-                compile_hash.bytes(wire::serialize(c.program));
+                compile_hash.bytes(as_v4_envelope(wire::serialize(c.program)));
                 const he::PassReport &r = c.report;
                 for (const std::size_t field :
                      {r.canonicalized, r.cse_merged, r.dce_removed,

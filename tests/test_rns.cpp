@@ -1,7 +1,10 @@
 // Tests for CRT decomposition/composition and fast base conversion.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "rns/rns_base.h"
 #include "util/primes.h"
@@ -50,6 +53,87 @@ TEST(RnsBase, ComposeSmallValueIsExact) {
     const xu::BigUInt composed = base.compose(residues);
     EXPECT_EQ(composed.word(0), 12345ull);
     EXPECT_EQ(composed.significant_bit_count(), 14);
+}
+
+namespace {
+
+/// compose_centered's oracle: BigUInt composition, centring at floor(Q/2)
+/// and BigUInt::to_double, as CkksEncoder::decode did before it.
+double centered_oracle(const xr::RnsBase &base,
+                       std::span<const uint64_t> residues) {
+    const xu::BigUInt x = base.compose(residues);
+    if (x >= base.product().shr1()) {
+        xu::BigUInt negated = base.product();
+        negated.sub_assign(x);
+        return -negated.to_double();
+    }
+    return x.to_double();
+}
+
+}  // namespace
+
+TEST(RnsBase, ComposeCenteredMatchesBigUIntPathBitForBit) {
+    const auto pattern = [](double d) { return std::bit_cast<uint64_t>(d); };
+    std::mt19937_64 rng(77);
+    for (const int bits : {32, 40, 50, 60}) {
+        for (const std::size_t count : {1u, 2u, 3u, 8u}) {
+            SCOPED_TRACE(::testing::Message() << count << "x" << bits);
+            const auto base = make_base(count, bits);
+
+            // Values: the edges 0, 1, Q-1 and either side of the centring
+            // threshold floor(Q/2), then uniform random residues.
+            std::vector<std::vector<uint64_t>> values;
+            const auto add = [&](const xu::BigUInt &value) {
+                std::vector<uint64_t> residues(base.size());
+                base.decompose(value, residues);
+                values.push_back(std::move(residues));
+            };
+            add(xu::BigUInt(0));
+            add(xu::BigUInt(1));
+            xu::BigUInt edge = base.product();
+            edge.sub_assign(xu::BigUInt(1));
+            add(edge);
+            edge = base.product().shr1();
+            edge.sub_assign(xu::BigUInt(1));
+            add(edge);
+            edge.add_assign(xu::BigUInt(1));
+            add(edge);
+            edge.add_assign(xu::BigUInt(1));
+            add(edge);
+            for (int trial = 0; trial < 500; ++trial) {
+                std::vector<uint64_t> residues(base.size());
+                for (std::size_t i = 0; i < base.size(); ++i) {
+                    residues[i] = rng() % base[i].value();
+                }
+                values.push_back(std::move(residues));
+            }
+
+            // One batch, component-major, and each value alone.
+            const std::size_t n = values.size();
+            std::vector<uint64_t> batch(base.size() * n);
+            for (std::size_t k = 0; k < n; ++k) {
+                for (std::size_t i = 0; i < base.size(); ++i) {
+                    batch[i * n + k] = values[k][i];
+                }
+            }
+            std::vector<double> got(n);
+            base.compose_centered(batch, got);
+            for (std::size_t k = 0; k < n; ++k) {
+                const double want = centered_oracle(base, values[k]);
+                double alone = 0.0;
+                base.compose_centered(values[k], std::span<double>(&alone, 1));
+                EXPECT_EQ(pattern(got[k]), pattern(want)) << "value " << k;
+                EXPECT_EQ(pattern(alone), pattern(want)) << "alone " << k;
+            }
+        }
+    }
+}
+
+TEST(RnsBase, ComposeCenteredRejectsWrongResidueCount) {
+    const auto base = make_base(3);
+    const std::vector<uint64_t> residues(5, 1);
+    std::vector<double> out(2);
+    EXPECT_THROW(base.compose_centered(residues, out), std::invalid_argument);
 }
 
 TEST(RnsBase, SingleModulusDegenerate) {

@@ -293,7 +293,7 @@ TEST(WireProtocol, InvalidProgramResponseRoundTripsWithDiagnostics) {
     // Payload layout: tag 1, session 8, ok 1 puts the code at offset 10.
     auto forged = bytes;
     forged[16 + 10] = static_cast<uint8_t>(serve::Status::InvalidProgram) + 1;
-    const uint64_t sum = wire::detail::fnv1a64(std::span<const uint8_t>(
+    const uint64_t sum = wire::detail::checksum64(std::span<const uint8_t>(
         forged.data() + 16, forged.size() - 24));
     for (std::size_t i = 0; i < 8; ++i) {
         forged[forged.size() - 8 + i] = static_cast<uint8_t>(sum >> (8 * i));
@@ -303,7 +303,7 @@ TEST(WireProtocol, InvalidProgramResponseRoundTripsWithDiagnostics) {
     // An ok flag contradicting the failure code is rejected the same way.
     auto contradicted = bytes;
     contradicted[16 + 9] = 1;
-    const uint64_t sum2 = wire::detail::fnv1a64(std::span<const uint8_t>(
+    const uint64_t sum2 = wire::detail::checksum64(std::span<const uint8_t>(
         contradicted.data() + 16, contradicted.size() - 24));
     for (std::size_t i = 0; i < 8; ++i) {
         contradicted[contradicted.size() - 8 + i] =
@@ -336,7 +336,7 @@ TEST(WireProtocol, BackendHintRoundTripAndValidation) {
     // 43 (tag 1, session 8, op 1, rotate 8, matmul 8, arrival 8,
     // cost_only 1, cost_level 8).
     bytes[16 + 43] = 3;
-    const uint64_t sum = wire::detail::fnv1a64(std::span<const uint8_t>(
+    const uint64_t sum = wire::detail::checksum64(std::span<const uint8_t>(
         bytes.data() + 16, bytes.size() - 24));
     for (std::size_t i = 0; i < 8; ++i) {
         bytes[bytes.size() - 8 + i] =
@@ -364,7 +364,7 @@ TEST(WireProtocol, HeaderFieldMutantsRejectedAlikeByBothPaths) {
         e.u16(0);
         e.u64(payload.size());
         e.bytes(payload);
-        e.u64(wire::detail::fnv1a64(payload));
+        e.u64(wire::detail::checksum64(payload));
         return e.take();
     };
     ASSERT_EQ(envelope(body), wire::serialize(req));
@@ -594,12 +594,141 @@ TEST(WireFuzz, HugePayloadLengthRejectedBeforeAllocation) {
     w.u64(0);                         // offset
     w.u64(wire::kMaxStreamBytes);     // total_len
     auto frame = w.take();
-    const uint64_t sum = wire::detail::fnv1a64(frame);
+    const uint64_t sum = wire::detail::checksum64(frame);
     wire::Writer tail;
     tail.u64(sum);
     const auto tail_bytes = tail.take();
     frame.insert(frame.end(), tail_bytes.begin(), tail_bytes.end());
     EXPECT_THROW(wire::open_chunk(frame), WireError);
+}
+
+// ---------------------------------------------------------------------------
+// Checksum and version
+// ---------------------------------------------------------------------------
+
+TEST(WireChecksum, KnownAnswers) {
+    // Whole little-endian u64 words (multiply, then fold the high half
+    // down), then tail bytes.  Lengths 0, 1 and 7 are tail-only
+    // (byte-serial FNV-1a); 8 is one word; 9 and 17 are words plus a
+    // one-byte tail.  Recorded from an independent implementation.
+    std::vector<uint8_t> data(17);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<uint8_t>(i * 37 + 11);
+    }
+    const auto sum = [&](std::size_t len) {
+        return wire::detail::checksum64(std::span(data).first(len));
+    };
+    EXPECT_EQ(sum(0), 0xcbf29ce484222325ull);
+    EXPECT_EQ(sum(1), 0xaf63c64c8601c72aull);
+    EXPECT_EQ(sum(7), 0xfcf25e868166b7a9ull);
+    EXPECT_EQ(sum(8), 0x648a88b100df1f9bull);
+    EXPECT_EQ(sum(9), 0xb685ecc47b22ca78ull);
+    EXPECT_EQ(sum(17), 0x7a47bb7acd13608full);
+}
+
+TEST(WireChecksum, EverySingleBitFlipRejected) {
+    // Exhaustive over every bit of a small envelope and a small chunk
+    // frame: header, payload and checksum alike.
+    const auto envelope = wire::serialize(util::Modulus((1ull << 50) - 27));
+    std::vector<uint8_t> mutated = envelope;
+    for (std::size_t bit = 0; bit < envelope.size() * 8; ++bit) {
+        mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        EXPECT_THROW(wire::load_modulus(mutated), WireError) << "bit " << bit;
+        mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+
+    const std::vector<uint8_t> body = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9};
+    const auto frames = wire::chunk_message(7, body);
+    ASSERT_EQ(frames.size(), 1u);
+    mutated = frames[0];
+    for (std::size_t bit = 0; bit < mutated.size() * 8; ++bit) {
+        mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        EXPECT_THROW(wire::open_chunk(mutated), WireError) << "bit " << bit;
+        mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+}
+
+TEST(WireChecksum, SameBitFlippedInTwoWordsChangesSum) {
+    // A multiply alone never moves a difference down, so bit 63 flipped in
+    // two words (bit 7 of the bytes at offsets 7 and 15, say) would cancel
+    // and leave the sum unchanged.  Every bit, every pair of words.
+    std::vector<uint8_t> data(64);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        data[i] = static_cast<uint8_t>(i * 73 + 5);
+    }
+    const uint64_t clean = wire::detail::checksum64(data);
+    for (std::size_t bit = 0; bit < 64; ++bit) {
+        const auto mask = static_cast<uint8_t>(1u << (bit % 8));
+        for (std::size_t i = 0; i < 8; ++i) {
+            for (std::size_t j = i + 1; j < 8; ++j) {
+                data[8 * i + bit / 8] ^= mask;
+                data[8 * j + bit / 8] ^= mask;
+                EXPECT_NE(wire::detail::checksum64(data), clean)
+                    << "bit " << bit << " of words " << i << " and " << j;
+                data[8 * i + bit / 8] ^= mask;
+                data[8 * j + bit / 8] ^= mask;
+            }
+        }
+    }
+}
+
+TEST(WireChecksum, TwoResidueHighBitFlipsRejected) {
+    // Ciphertext residues start at payload byte 35, so payload bytes 39
+    // and 47 hold bit 39 of the first two residues, and their bit 7 is
+    // bit 63 of payload words 4 and 5.  With the checksum refreshed the
+    // corrupted ciphertext loads (the residues stay below q): only the
+    // checksum stands between this double flip and a wrong decryption.
+    auto &b = bench();
+    auto envelope = wire::serialize(b.enc(b.values(93)));
+    for (const std::size_t offset : {39u, 47u}) {
+        envelope[wire::kHeaderBytes + offset] ^= 0x80;
+    }
+    EXPECT_THROW(wire::load_ciphertext(envelope, b.context), WireError);
+
+    auto refreshed = envelope;
+    const auto payload = std::span<const uint8_t>(refreshed).subspan(
+        wire::kHeaderBytes, refreshed.size() - wire::kEnvelopeBytes);
+    const uint64_t sum = wire::detail::checksum64(payload);
+    for (std::size_t i = 0; i < 8; ++i) {
+        refreshed[refreshed.size() - 8 + i] =
+            static_cast<uint8_t>(sum >> (8 * i));
+    }
+    EXPECT_NO_THROW(wire::load_ciphertext(refreshed, b.context));
+}
+
+/// The message of the WireError `load` throws, or "" when it loads.
+template <typename Load>
+std::string wire_error(Load load) {
+    try {
+        load();
+    } catch (const WireError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(WireChecksum, PreviousVersionRejected) {
+    // Version 4 used byte-serial FNV-1a.  A v4-stamped buffer whose
+    // checksum is valid under checksum64 still fails, on the version.
+    // The envelope checksum covers only the payload, so restamping the
+    // version field keeps it valid.
+    auto envelope = wire::serialize(util::Modulus((1ull << 50) - 27));
+    envelope[4] = 4;
+    envelope[5] = 0;
+    const auto load_envelope = [&] { return wire::load_modulus(envelope); };
+    EXPECT_EQ(wire_error(load_envelope), "wire: unsupported version");
+
+    // The frame checksum covers the header, so recompute it.
+    auto frame = wire::chunk_message(7, std::vector<uint8_t>{1, 2, 3})[0];
+    frame[4] = 4;
+    frame[5] = 0;
+    const auto head = std::span<const uint8_t>(frame).first(frame.size() - 8);
+    const uint64_t sum = wire::detail::checksum64(head);
+    for (std::size_t i = 0; i < 8; ++i) {
+        frame[frame.size() - 8 + i] = static_cast<uint8_t>(sum >> (8 * i));
+    }
+    const auto load_frame = [&] { return wire::open_chunk(frame); };
+    EXPECT_EQ(wire_error(load_frame), "wire: unsupported chunk version");
 }
 
 TEST(WireFuzz, TypeConfusionRejected) {
