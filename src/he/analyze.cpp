@@ -73,9 +73,10 @@ constexpr auto kWalkRows = [] {
     std::array<WalkRow, std::size(kOpTable)> rows{};
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const OpInfo &op = kOpTable[i];
-        rows[i] = {op.second, op.size_in, op.size_out, op.level,
-                   op.scale,  op.key,     op.align,    op.mult(),
-                   op.imm,    op.scale_gate};
+        rows[i] = {op.second,   op.size_in, op.size_out,
+                   op.level,    op.scale,   op.key,
+                   op.align,    op.mult(),  op.takes_imm(),
+                   op.scale_gate};
     }
     return rows;
 }();

@@ -43,6 +43,19 @@ Cipher HostBackend::square(const Cipher &a) {
     return wrap(evaluator_.square(native(a)));
 }
 
+Cipher HostBackend::multiply_acc(const Cipher &a, const Cipher &b,
+                                 uint32_t tiles) {
+    util::require(tiles >= 1, "he: multiply_acc needs at least one tile");
+    // The GPU chain's t-fold accumulation of a*b is the size-3 product
+    // added to itself t-1 more times.
+    const ckks::Ciphertext product = evaluator_.multiply(native(a), native(b));
+    ckks::Ciphertext acc = product;
+    for (uint32_t t = 1; t < tiles; ++t) {
+        acc = evaluator_.add(acc, product);
+    }
+    return wrap(std::move(acc));
+}
+
 Cipher HostBackend::relinearize(const Cipher &a, const ckks::RelinKeys &keys) {
     return wrap(evaluator_.relinearize(native(a), keys));
 }
@@ -140,6 +153,19 @@ Cipher GpuBackend::multiply(const Cipher &a, const Cipher &b) {
 
 Cipher GpuBackend::square(const Cipher &a) {
     return adopt(evaluator_->square(native(a)));
+}
+
+Cipher GpuBackend::multiply_acc(const Cipher &a, const Cipher &b,
+                                uint32_t tiles) {
+    util::require(tiles >= 1, "he: multiply_acc needs at least one tile");
+    const core::GpuCiphertext &x = native(a);
+    const core::GpuCiphertext &y = native(b);
+    core::GpuCiphertext acc =
+        core::allocate_ciphertext(*gpu_, 3, x.rns, x.scale * y.scale);
+    for (uint32_t t = 0; t < tiles; ++t) {
+        evaluator_->multiply_acc(x, y, acc);
+    }
+    return adopt(std::move(acc));
 }
 
 Cipher GpuBackend::relinearize(const Cipher &a, const ckks::RelinKeys &keys) {

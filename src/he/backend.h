@@ -36,6 +36,11 @@ public:
     // --- multiplicative ops -------------------------------------------
     virtual Cipher multiply(const Cipher &a, const Cipher &b) = 0;
     virtual Cipher square(const Cipher &a) = 0;
+    /// a*b accumulated `tiles` (>= 1) times into a fresh size-3
+    /// accumulator: one output tile of the Section IV-E matmul, chained
+    /// multiply-accumulate launches on the GPU backend.
+    virtual Cipher multiply_acc(const Cipher &a, const Cipher &b,
+                                uint32_t tiles) = 0;
     virtual Cipher relinearize(const Cipher &a,
                                const ckks::RelinKeys &keys) = 0;
     /// Rescale (drop one prime, divide the scale).  A positive
@@ -109,6 +114,8 @@ public:
     Cipher multiply_plain(const Cipher &a, const ckks::Plaintext &p) override;
     Cipher multiply(const Cipher &a, const Cipher &b) override;
     Cipher square(const Cipher &a) override;
+    Cipher multiply_acc(const Cipher &a, const Cipher &b,
+                        uint32_t tiles) override;
     Cipher relinearize(const Cipher &a, const ckks::RelinKeys &keys) override;
     Cipher rescale(const Cipher &a, double snap_scale = 0.0) override;
     Cipher mod_switch(const Cipher &a, double adopt_scale = 0.0) override;
@@ -151,6 +158,8 @@ public:
     Cipher multiply_plain(const Cipher &a, const ckks::Plaintext &p) override;
     Cipher multiply(const Cipher &a, const Cipher &b) override;
     Cipher square(const Cipher &a) override;
+    Cipher multiply_acc(const Cipher &a, const Cipher &b,
+                        uint32_t tiles) override;
     Cipher relinearize(const Cipher &a, const ckks::RelinKeys &keys) override;
     Cipher rescale(const Cipher &a, double snap_scale = 0.0) override;
     Cipher mod_switch(const Cipher &a, double adopt_scale = 0.0) override;

@@ -372,15 +372,17 @@ private:
         uint32_t x = remap_[node.a];
         uint32_t y = info.arity() == 2 ? remap_[node.b] : 0;
         const std::size_t episode = out_.nodes.size();
-        // Size needs no repair can meet, checked on cipher pairs only
-        // (the fused ModSwitchAdd tail is planned for size 2).
+        // Size needs no repair can meet: the op's own size_in on every
+        // data operand (the fused ModSwitchAdd tail is planned for size
+        // 2), else equal sizes on a cipher pair.
         if (node.op == OpCode::ModSwitchAdd) {
             if (meta_[x].size != 2 || meta_[y].size != 2) {
                 fail(i, node.op, "expects size-2 operands");
             }
-        } else if (info.second == Operand::Cipher && info.size_in != 0) {
+        } else if (info.size_in != 0) {
             if (meta_[x].size != info.size_in ||
-                meta_[y].size != info.size_in) {
+                (info.second == Operand::Cipher &&
+                 meta_[y].size != info.size_in)) {
                 fail(i, node.op, info.violation);
             }
         } else if (info.second == Operand::Cipher &&

@@ -13,7 +13,6 @@ constexpr std::size_t kMaxInputs = 64;
 constexpr std::size_t kMaxConstants = 1024;
 constexpr std::size_t kMaxNodes = 1 << 16;
 constexpr std::size_t kMaxOutputs = 64;
-constexpr int32_t kMaxRotateStep = 1 << 20;
 
 void check(bool condition, const char *what) {
     if (!condition) {
@@ -49,12 +48,9 @@ void Program::validate() const {
         } else {
             check(node.b == 0, "unary op with a second operand");
         }
-        if (info.imm) {
-            check(node.imm >= -kMaxRotateStep && node.imm <= kMaxRotateStep,
-                  "rotation step out of range");
-        } else {
-            check(node.imm == 0, "immediate on a non-rotate op");
-        }
+        check(node.imm >= info.imm_min && node.imm <= info.imm_max,
+              info.takes_imm() ? "immediate out of range"
+                               : "immediate on an op that takes none");
     }
     for (const uint32_t out : outputs) {
         check(out < value_count(), "output references an undefined value");
@@ -177,21 +173,17 @@ ProgramBuilder::Value ProgramBuilder::constant(ckks::Plaintext plain) {
                  static_cast<uint32_t>(program_.constants.size()) - 1};
 }
 
-ProgramBuilder::Value ProgramBuilder::node(OpCode op, Value a, Value b) {
+ProgramBuilder::Value ProgramBuilder::node(OpCode op, Value a, Value b,
+                                           int32_t imm) {
     Program::Node node;
     node.op = op;
     node.a = a.index;
     node.b = op_code_arity(op) == 2 ? b.index : 0;
+    node.imm = imm;
     program_.nodes.push_back(node);
     return Value{program_.num_inputs +
                  static_cast<uint32_t>(program_.constants.size()) +
                  static_cast<uint32_t>(program_.nodes.size()) - 1};
-}
-
-ProgramBuilder::Value ProgramBuilder::rotate(Value a, int step) {
-    Value v = node(OpCode::Rotate, a);
-    program_.nodes.back().imm = step;
-    return v;
 }
 
 void ProgramBuilder::output(Value v) {
@@ -335,6 +327,10 @@ std::vector<Cipher> run_program(const Program &program, Backend &backend,
             case OpCode::Conjugate:
                 out = backend.conjugate(a, galois());
                 break;
+            case OpCode::MultiplyAcc:
+                out = backend.multiply_acc(a, values[node.b],
+                                           static_cast<uint32_t>(node.imm));
+                break;
         }
         values[node_base + i] = std::move(out);
         // Drop operands this node consumed last, and the result itself if
@@ -368,7 +364,7 @@ std::vector<Cipher> run_program(const Program &program, Backend &backend,
 }
 
 // ---------------------------------------------------------------------------
-// Canonical routine programs (Section IV-C)
+// Canonical programs (Section IV-C routines, Section IV-E matmul tile)
 // ---------------------------------------------------------------------------
 
 Program mul_lin_program() {
@@ -403,6 +399,12 @@ Program mul_lin_rs_modsw_add_program() {
 Program rotate_program(int step) {
     ProgramBuilder b(1);
     b.output(b.rotate(b.input(0), step));
+    return b.build();
+}
+
+Program multiply_acc_program(int tiles) {
+    ProgramBuilder b(2);
+    b.output(b.multiply_acc(b.input(0), b.input(1), tiles));
     return b.build();
 }
 

@@ -11,11 +11,11 @@
 // the op sequence it spells out; he::Session is the managed surface.
 //
 // Programs serialize through the src/wire envelope (Tag::Program) and are
-// the payload of serve::Op::Program requests: clients ship arbitrary
-// circuits instead of picking from the five hard-coded routines, and the
-// five Section IV-C routines themselves are re-expressed as the canonical
-// programs below (the routine harness and the server interpret those, so
-// there is exactly one execution path).
+// what every served request runs: clients ship arbitrary circuits
+// (serve::Op::Program), and the fixed-function requests resolve to the
+// canonical programs below — the five Section IV-C routines and the
+// Section IV-E matmul tile as one MultiplyAcc node — so the routine
+// harness and the server share exactly one execution path.
 #pragma once
 
 #include <iterator>
@@ -54,10 +54,19 @@ enum class OpCode : uint8_t {
     /// he::ProgramCompiler; pre-compiler wire readers reject the opcode,
     /// but the wire format itself is unchanged (no version bump).
     AdoptScale = 14,
+    /// (cipher a, cipher b), imm = t in [1, 2^20]: a*b accumulated t times
+    /// into a fresh size-3 accumulator — one output tile of the Section
+    /// IV-E encrypted matmul (Backend::multiply_acc).  As with AdoptScale,
+    /// older wire readers reject the opcode; the format is unchanged.
+    MultiplyAcc = 15,
 };
 
 inline constexpr uint8_t kMaxOpCode =
-    static_cast<uint8_t>(OpCode::AdoptScale);
+    static_cast<uint8_t>(OpCode::MultiplyAcc);
+
+/// Bound on an immediate's magnitude: rotation steps and MultiplyAcc tile
+/// counts (the wire's matmul_tiles bound).
+inline constexpr int32_t kMaxImmediate = 1 << 20;
 
 /// Static shape report of a program (Program::stats()): what the
 /// interpreter will do without executing it.  Level figures count prime
@@ -66,7 +75,7 @@ struct ProgramStats {
     std::size_t nodes = 0;
     std::size_t constants = 0;
     std::size_t outputs = 0;
-    std::size_t multiplies = 0;      ///< Multiply + Square
+    std::size_t multiplies = 0;      ///< Multiply + Square + MultiplyAcc
     std::size_t plain_multiplies = 0;
     std::size_t key_switches = 0;    ///< Relinearize + Rotate + Conjugate
     std::size_t rescales = 0;
@@ -117,7 +126,9 @@ struct OpInfo {
     OpCode op;
     const char *name;
     Operand second = Operand::None;
-    bool imm = false;     ///< takes an immediate (the rotation step)
+    /// The immediate's allowed range; both zero = the op takes none.
+    int32_t imm_min = 0;
+    int32_t imm_max = 0;
     /// One elementwise launch on the GPU backend (no NTT, no key
     /// switch): the compiler's fusion pre-lowering may group it.
     bool dyadic = false;
@@ -135,6 +146,7 @@ struct OpInfo {
     constexpr std::size_t arity() const noexcept {
         return second == Operand::None ? 1 : 2;
     }
+    constexpr bool takes_imm() const noexcept { return imm_max != 0; }
     /// Multiplies (and only they) count toward multiplicative depth.
     constexpr bool mult() const noexcept {
         return stat == &ProgramStats::multiplies;
@@ -176,8 +188,9 @@ inline constexpr OpInfo kOpTable[] = {
      .scale = ScaleRule::Adopt, .align = true,
      .stat = &ProgramStats::mod_switches,
      .violation = "cannot switch below one prime"},
-    {.op = OpCode::Rotate, .name = "Rotate", .imm = true, .size_in = 2,
-     .size_out = 2, .key = KeyNeed::Galois,
+    {.op = OpCode::Rotate, .name = "Rotate", .imm_min = -kMaxImmediate,
+     .imm_max = kMaxImmediate, .size_in = 2, .size_out = 2,
+     .key = KeyNeed::Galois,
      .stat = &ProgramStats::key_switches,
      .violation = "rotate expects a size-2 ciphertext"},
     {.op = OpCode::Conjugate, .name = "Conjugate", .size_in = 2,
@@ -189,6 +202,11 @@ inline constexpr OpInfo kOpTable[] = {
      .stat = &ProgramStats::mod_switches},
     {.op = OpCode::AdoptScale, .name = "AdoptScale", .second = Operand::Ref,
      .dyadic = true, .scale = ScaleRule::Adopt, .align = true},
+    {.op = OpCode::MultiplyAcc, .name = "MultiplyAcc",
+     .second = Operand::Cipher, .imm_min = 1, .imm_max = kMaxImmediate,
+     .size_in = 2, .size_out = 3, .scale = ScaleRule::Times,
+     .stat = &ProgramStats::multiplies,
+     .violation = "multiply_acc expects size-2 operands; relinearize first"},
 };
 // clang-format on
 
@@ -224,7 +242,7 @@ struct Program {
         OpCode op = OpCode::Add;
         uint32_t a = 0;  ///< first operand (value index)
         uint32_t b = 0;  ///< second operand; 0 and unused for unary ops
-        int32_t imm = 0; ///< rotation step (Rotate only)
+        int32_t imm = 0; ///< Rotate: step; MultiplyAcc: tile count
     };
 
     /// A contiguous node range [first, last) of mutually independent
@@ -310,8 +328,13 @@ public:
     Value adopt_scale(Value a, Value ref) {
         return node(OpCode::AdoptScale, a, ref);
     }
-    Value rotate(Value a, int step);
+    Value rotate(Value a, int step) {
+        return node(OpCode::Rotate, a, {0}, step);
+    }
     Value conjugate(Value a) { return node(OpCode::Conjugate, a); }
+    Value multiply_acc(Value a, Value b, int tiles) {
+        return node(OpCode::MultiplyAcc, a, b, tiles);
+    }
 
     void output(Value v);
 
@@ -319,7 +342,7 @@ public:
     Program build();
 
 private:
-    Value node(OpCode op, Value a, Value b = {0});
+    Value node(OpCode op, Value a, Value b = {0}, int32_t imm = 0);
 
     Program program_;
 };
@@ -340,9 +363,10 @@ std::vector<Cipher> run_program(const Program &program, Backend &backend,
                                 const ProgramKeys &keys = {});
 
 // ---------------------------------------------------------------------------
-// Canonical programs for the five Section IV-C routines.  Interpreted over
-// GpuBackend they are bit-identical to the direct GpuEvaluator routine
-// calls (tests/test_he_program.cpp proves it differentially).
+// Canonical programs for the five Section IV-C routines and the Section
+// IV-E matmul tile.  Interpreted over GpuBackend they are bit-identical to
+// the direct GpuEvaluator calls (tests/test_he_program.cpp proves it
+// differentially).
 // ---------------------------------------------------------------------------
 
 Program mul_lin_program();             ///< relin(a * b)
@@ -350,6 +374,7 @@ Program mul_lin_rs_program();          ///< rescale(relin(a * b))
 Program sqr_lin_rs_program();          ///< rescale(relin(a^2))
 Program mul_lin_rs_modsw_add_program();///< rescale(relin(a*b)) + modsw(c)
 Program rotate_program(int step);      ///< rotate(a, step)
+Program multiply_acc_program(int tiles);  ///< a*b accumulated `tiles` times
 
 // ---------------------------------------------------------------------------
 // Wire serialization (picked up by wire::serialize / load_enveloped via

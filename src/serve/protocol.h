@@ -1,6 +1,8 @@
 // Client/server message types for the encrypted-inference frontend: a
-// Request names one of the five Section IV-C routines (or a matmul tile
-// job) and carries its operand ciphertexts as opaque wire buffers; a
+// Request names the he::Program to run — a client circuit shipped as wire
+// bytes, or a fixed-function alias (one of the five Section IV-C
+// routines, or a matmul tile job) the server resolves to its canonical
+// program — and carries its operand ciphertexts as opaque wire buffers; a
 // Response carries the serialized result plus the request's
 // enqueue/dispatch/complete timestamps off the simulated clock.  Both
 // serialize through the src/wire envelope, so a full client -> server ->
@@ -14,10 +16,12 @@
 
 namespace xehe::serve {
 
-/// The server-side operations a request can name: the five benchmarked
-/// routines of Section IV-C, the matmul tile-accumulation job of
-/// Section IV-E, and Program — an arbitrary client-defined he:: circuit
-/// shipped as wire bytes, so new workloads need no server change.
+/// What a request runs.  Program ships an arbitrary client-defined he::
+/// circuit as wire bytes, so new workloads need no server change; every
+/// other value is a wire alias, resolved to a Program on the server: the
+/// five benchmarked routines of Section IV-C (their canonical programs;
+/// Rotate by `rotate_step`) and the matmul tile-accumulation job of
+/// Section IV-E (one MultiplyAcc node of `matmul_tiles` tiles).
 enum class Op : uint8_t {
     MulLin = 0,
     MulLinRS = 1,
@@ -30,11 +34,11 @@ enum class Op : uint8_t {
 
 const char *op_name(Op op);
 
-/// Per-request backend selection (wire v4).  Auto defers to the server:
-/// cost-model routing when configured, else the GPU pool when one is up.
-/// Host/Gpu pin the request; a Gpu-pinned request still degrades to the
-/// host backend (counted in LatencyStats::fallbacks) when no GPU backend
-/// is available, rather than failing.
+/// Per-request backend selection (wire v4).  Auto defers to the server,
+/// which takes the GPU pool when one is up.  Host/Gpu pin the request; a
+/// Gpu-pinned request still degrades to the host backend (counted in
+/// LatencyStats::fallbacks) when no GPU backend is available, rather than
+/// failing.
 enum class BackendHint : uint8_t {
     Auto = 0,
     Host = 1,
@@ -43,9 +47,9 @@ enum class BackendHint : uint8_t {
 
 const char *backend_hint_name(BackendHint hint);
 
-/// Operand ciphertexts required by a fixed-function op (1 to 3).  For
-/// Op::Program the arity is the shipped program's input count; this
-/// returns 0.
+/// Operand ciphertexts required by a fixed-function op (1 to 3): the
+/// input count of the program it resolves to.  For Op::Program the arity
+/// is the shipped program's input count; this returns 0.
 std::size_t op_arity(Op op);
 
 struct Request {

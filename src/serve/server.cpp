@@ -11,20 +11,6 @@
 
 namespace xehe::serve {
 
-// The first five Op values name the Section IV-C routines in Routine
-// order, so the server can map a fixed-function request straight onto its
-// canonical program.
-static_assert(static_cast<int>(Op::MulLin) ==
-                  static_cast<int>(core::Routine::MulLin) &&
-              static_cast<int>(Op::MulLinRS) ==
-                  static_cast<int>(core::Routine::MulLinRS) &&
-              static_cast<int>(Op::SqrLinRS) ==
-                  static_cast<int>(core::Routine::SqrLinRS) &&
-              static_cast<int>(Op::MulLinRSModSwAdd) ==
-                  static_cast<int>(core::Routine::MulLinRSModSwAdd) &&
-              static_cast<int>(Op::Rotate) ==
-                  static_cast<int>(core::Routine::Rotate));
-
 namespace {
 
 constexpr double kScale = 1099511627776.0;  // 2^40
@@ -38,6 +24,17 @@ constexpr double kScale = 1099511627776.0;  // 2^40
 constexpr double kHostNodeNs = 40000.0;
 /// Host-side charge for re-staging an evicted expanded keyset (per byte).
 constexpr double kHostKeyLoadNsPerByte = 0.25;
+
+/// The level a request's operands sit at: actual max-level encryptions
+/// when functional, the requested level for cost-only sweeps.
+std::size_t serving_level(const Request &request,
+                          const ckks::CkksContext &host) {
+    if (request.cost_only && request.cost_only_level != 0) {
+        return std::min<std::size_t>(request.cost_only_level,
+                                     host.max_level());
+    }
+    return host.max_level();
+}
 
 /// Cost-only operand: allocated at level, upload charged, never encrypted
 /// (the paper's N = 32K operating point, as in run_batch_serving).
@@ -145,8 +142,6 @@ InferenceServer::InferenceServer(const ckks::CkksContext &host,
 void InferenceServer::set_keys(ckks::RelinKeys relin, ckks::GaloisKeys galois) {
     relin_ = std::move(relin);
     galois_ = std::move(galois);
-    has_relin_ = !relin_.key.keys.empty();
-    has_galois_ = !galois_.keys.empty();
 }
 
 void InferenceServer::register_session_keys(uint64_t session_id,
@@ -163,6 +158,10 @@ void InferenceServer::record_failure(uint64_t session_id, Status code,
     resp.code = code;
     resp.error = std::move(error);
     parse_failures_.push_back(std::move(resp));
+    count_failure(code);
+}
+
+void InferenceServer::count_failure(Status code) {
     ++failed_;
     ServeMetrics::instance().failed.add();
     if (code == Status::Overloaded) {
@@ -188,7 +187,7 @@ void InferenceServer::submit(std::span<const uint8_t> request_bytes) {
 }
 
 bool InferenceServer::submit(Request request) {
-    if (request.op == Op::Program && !admit_program(request)) {
+    if (!request.program.empty() && !admit_program(request)) {
         return false;
     }
     pending_.push_back(std::move(request));
@@ -205,25 +204,14 @@ bool InferenceServer::admit_program(const Request &request) {
         // reproduces the legacy wire-error response unchanged.
         return true;
     }
-    // The level the server will assume is known at the front door; input
-    // sizes and scales are the client's to choose.  Cost-only operands
-    // are fabricated (size 2, kScale, exactly input_level), so their
-    // facts are exact; functional inputs stay unknown, and without the
-    // compiler the execution level is whatever the client shipped.
-    std::size_t input_level = host_->max_level();
-    if (request.cost_only && request.cost_only_level != 0) {
-        input_level = std::min<std::size_t>(request.cost_only_level,
-                                            host_->max_level());
-    }
+    // The level the compiler will plan for is known at the front door;
+    // input sizes and scales are the client's to choose (cost-only
+    // operands are fabricated at size 2).
     he::InputFacts facts;
     facts.size = request.cost_only ? 2 : 0;
-    facts.level = config_.compile_programs || request.cost_only
-                      ? input_level
-                      : 0;
-    facts.scale =
-        request.cost_only && !config_.compile_programs ? kScale : 0.0;
+    facts.level = serving_level(request, *host_);
     he::AnalyzerOptions aopts;
-    aopts.assume_alignment = config_.compile_programs;
+    aopts.assume_alignment = true;
     // load_program just validated structurally; don't walk it twice.
     aopts.assume_validated = true;
     // Admission acts on ok() and the first error; warnings are waste.
@@ -312,12 +300,7 @@ std::vector<Response> InferenceServer::run() {
                 ServeMetrics::instance().latency_ns.observe(
                     resp.latency_ns());
             } else {
-                ++failed_;
-                ServeMetrics::instance().failed.add();
-                if (resp.code == Status::InvalidProgram) {
-                    ++invalid_programs_;
-                    ServeMetrics::instance().invalid_programs.add();
-                }
+                count_failure(resp.code);
             }
         }
         ++batches_;
@@ -337,18 +320,58 @@ std::vector<Response> InferenceServer::run() {
     return responses;
 }
 
-std::shared_ptr<const he::Program> InferenceServer::compiled_program(
-    uint64_t session_id, std::span<const uint8_t> bytes,
-    std::size_t input_level) {
+// The first five Op values name the Section IV-C routines in Routine
+// order, so resolve() maps a fixed-function request straight onto its
+// canonical program.
+static_assert(static_cast<int>(Op::MulLin) ==
+                  static_cast<int>(core::Routine::MulLin) &&
+              static_cast<int>(Op::MulLinRS) ==
+                  static_cast<int>(core::Routine::MulLinRS) &&
+              static_cast<int>(Op::SqrLinRS) ==
+                  static_cast<int>(core::Routine::SqrLinRS) &&
+              static_cast<int>(Op::MulLinRSModSwAdd) ==
+                  static_cast<int>(core::Routine::MulLinRSModSwAdd) &&
+              static_cast<int>(Op::Rotate) ==
+                  static_cast<int>(core::Routine::Rotate));
+
+std::shared_ptr<const he::Program> InferenceServer::resolve(
+    const Request &request, std::size_t input_level) {
+    switch (request.op) {
+        case Op::Rotate:
+            if (request.rotate_step != 1) {
+                return std::make_shared<const he::Program>(
+                    he::rotate_program(request.rotate_step));
+            }
+            [[fallthrough]];
+        case Op::MulLin:
+        case Op::MulLinRS:
+        case Op::SqrLinRS:
+        case Op::MulLinRSModSwAdd:
+            // The routine's canonical program as is (compile is the
+            // identity on it), through a non-owning handle to the static.
+            return {std::shared_ptr<const void>(),
+                    &core::routine_program(
+                        static_cast<core::Routine>(request.op))};
+        case Op::MatmulTile:
+            // Clamped, so an in-process count past the wire bound fails
+            // validation instead of wrapping to a small one.
+            return std::make_shared<const he::Program>(
+                he::multiply_acc_program(static_cast<int>(std::min<uint64_t>(
+                    request.matmul_tiles, he::kMaxImmediate + 1u))));
+        case Op::Program: break;
+    }
+    // A client circuit, compiled once per session and shipped bytes
+    // (under the same assumed input level) through the compile cache.
     he::CompilerOptions copts;
     copts.input_level = input_level;
     copts.input_scale = kScale;  // the serving admission scale
     bool missed = false;
     auto compiled = compile_cache_.get_or_compile(
-        he::CompileCache::key(session_id, copts, bytes), [&] {
+        he::CompileCache::key(request.session_id, copts, request.program),
+        [&] {
             missed = true;
             ServeMetrics::instance().programs_compiled.add();
-            he::Program program = he::load_program(bytes, *host_);
+            he::Program program = he::load_program(request.program, *host_);
             util::require(program.outputs.size() == 1,
                           "served programs must have exactly one output");
             // Every request passed admit_program on its way in, but that
@@ -380,19 +403,6 @@ std::shared_ptr<const he::Program> InferenceServer::compiled_program(
         ServeMetrics::instance().program_cache_hits.add();
     }
     return compiled;
-}
-
-std::size_t InferenceServer::route_cost(const Request &request) const {
-    if (request.op == Op::MatmulTile) {
-        return 2 * static_cast<std::size_t>(request.matmul_tiles);
-    }
-    if (request.op == Op::Program) {
-        // The circuit is not parsed yet at routing time; its wire size
-        // is a monotone proxy for node count.
-        return request.program.size() / 16;
-    }
-    return core::routine_program(static_cast<core::Routine>(request.op))
-        .nodes.size();
 }
 
 Response InferenceServer::execute(const Request &request,
@@ -448,30 +458,20 @@ uint32_t InferenceServer::obs_host_lane_track(std::size_t lane) {
 
 Response InferenceServer::execute_routed(const Request &request,
                                          double dispatch_time) {
-    // Routing: an explicit hint wins; Auto takes the GPU pool when one
-    // is up, except that cost routing (when configured) keeps small jobs
-    // on host.  Any request that wanted the GPU but cannot have it runs
-    // on host and is counted as a fallback instead of failing.
-    bool use_host = false;
+    // Routing: a Host hint runs on host; anything else takes the GPU pool
+    // when one is up.  A request that wanted the GPU but cannot have it
+    // runs on host and is counted as a fallback instead of failing.
     bool fallback = false;
-    if (request.backend == BackendHint::Host) {
-        use_host = true;
-    } else if (!pool_) {
-        use_host = true;
-        fallback = true;
-    } else if (request.backend == BackendHint::Auto &&
-               config_.host_route_max_cost > 0 &&
-               route_cost(request) <= config_.host_route_max_cost) {
-        use_host = true;
-    }
-    if (!use_host) {
-        try {
-            return execute_on(request, dispatch_time, false);
-        } catch (const he::BackendUnavailable &) {
-            // The registry refused the backend mid-flight (disabled
-            // between admission and dispatch): degrade this request.
-            fallback = true;
+    if (request.backend != BackendHint::Host) {
+        if (pool_) {
+            try {
+                return execute_on(request, dispatch_time, false);
+            } catch (const he::BackendUnavailable &) {
+                // The registry refused the backend mid-flight (disabled
+                // between admission and dispatch): degrade this request.
+            }
         }
+        fallback = true;
     }
     ++host_requests_;
     ServeMetrics::instance().host_requests.add();
@@ -495,17 +495,15 @@ Response InferenceServer::execute_on(const Request &request,
     std::size_t lane = 0;
     he::BackendBundle gpu_bundle;
     he::GpuBackend *gpu = nullptr;
-    const core::GpuEvaluator *evaluator = nullptr;
     if (on_host) {
         lane = request.session_id % host_lane_ns_.size();
         host_lane_ns_[lane] = std::max(host_lane_ns_[lane], dispatch_time);
     } else {
         lane = pool_->lane_of(request.session_id);
-        evaluator = &pool_->evaluator(lane);
         he::BackendEnv env;
         env.context = host_;
         env.gpu_context = &pool_->context(lane);
-        env.gpu_evaluator = evaluator;
+        env.gpu_evaluator = &pool_->evaluator(lane);
         gpu_bundle = he::BackendRegistry::instance().create("gpu", env);
         // The built-in "gpu" factory always wraps the lane in a
         // GpuBackend.
@@ -541,137 +539,74 @@ Response InferenceServer::execute_on(const Request &request,
         // cache miss re-expands from the seed-compressed cold store and
         // re-stages the expanded material on the lane — the charge is
         // what makes eviction pressure visible in the latency tail.
-        const ckks::RelinKeys *relin = has_relin_ ? &relin_ : nullptr;
-        const ckks::GaloisKeys *galois = has_galois_ ? &galois_ : nullptr;
+        he::ProgramKeys keys;
+        keys.relin = relin_.key.keys.empty() ? nullptr : &relin_;
+        keys.galois = galois_.keys.empty() ? nullptr : &galois_;
         std::shared_ptr<const SessionKeys> session_keys;
         if (key_manager_->has(request.session_id)) {
             KeyManager::Acquired acq =
                 key_manager_->acquire(request.session_id);
             session_keys = std::move(acq.keys);
-            relin = &session_keys->relin;
-            galois = &session_keys->galois;
+            keys.relin = &session_keys->relin;
+            keys.galois = &session_keys->galois;
             if (acq.miss && gpu) {
-                evaluator->charge_key_upload(acq.expanded_bytes);
+                pool_->evaluator(lane).charge_key_upload(acq.expanded_bytes);
             } else if (acq.miss) {
                 host_clock += kHostKeyLoadNsPerByte *
                               static_cast<double>(acq.expanded_bytes);
             }
         }
-        // Operand level: actual max-level encryptions when functional,
-        // the requested level for cost-only sweeps.
-        std::size_t input_level = host_->max_level();
-        if (request.cost_only && request.cost_only_level != 0) {
-            input_level = std::min<std::size_t>(request.cost_only_level,
-                                                host_->max_level());
-        }
+        const std::size_t input_level = serving_level(request, *host_);
+        const std::shared_ptr<const he::Program> program =
+            resolve(request, input_level);
 
-        // An attached circuit is parsed (and validated) first: its input
-        // count is the request's arity.  With compile_programs it goes
-        // through the ProgramCompiler on admission, cached per session so
-        // a re-submitted circuit pays the compile once.
-        std::shared_ptr<const he::Program> client_program;
-        const bool is_program = request.op == Op::Program;
-        if (is_program) {
-            if (config_.compile_programs) {
-                client_program = compiled_program(request.session_id,
-                                                  request.program,
-                                                  input_level);
-            } else {
-                auto raw = he::load_program(request.program, *host_);
-                util::require(raw.outputs.size() == 1,
-                              "served programs must have exactly one output");
-                client_program =
-                    std::make_shared<const he::Program>(std::move(raw));
-            }
+        // Key needs and the host-lane work, read off the program's
+        // kOpTable rows before any operand is uploaded: a request that
+        // can never succeed fails here with no lane time charged.
+        bool needs_relin = false;
+        bool needs_galois = false;
+        double work = 0.0;  // one unit per node; 2t per t-tile MultiplyAcc
+        for (const he::Program::Node &node : program->nodes) {
+            const he::KeyNeed need = he::op_info(node.op).key;
+            needs_relin = needs_relin || need == he::KeyNeed::Relin;
+            needs_galois = needs_galois || need == he::KeyNeed::Galois;
+            work += node.op == he::OpCode::MultiplyAcc ? 2.0 * node.imm : 1.0;
         }
-
-        const bool needs_relin = request.op != Op::Rotate &&
-                                 request.op != Op::MatmulTile && !is_program;
-        util::require(!needs_relin || relin != nullptr,
+        util::require(!needs_relin || keys.relin != nullptr,
                       "relin keys not registered");
-        util::require(request.op != Op::Rotate || galois != nullptr,
+        util::require(!needs_galois || keys.galois != nullptr,
                       "galois keys not registered");
-
         if (!gpu) {
-            // Deterministic host lane-time charge: nodes x per-node cost
-            // x limb count.  Strictly positive, so dispatch < complete
-            // holds for every served request.
-            const double nodes = static_cast<double>(std::max<std::size_t>(
-                is_program ? client_program->nodes.size() : route_cost(request),
-                1));
-            host_clock +=
-                kHostNodeNs * nodes * static_cast<double>(input_level + 1);
+            // Deterministic host lane-time charge: work units x per-unit
+            // cost x limb count.  Strictly positive, so dispatch <
+            // complete holds for every served request.
+            host_clock += kHostNodeNs * std::max(work, 1.0) *
+                          static_cast<double>(input_level + 1);
         }
 
         // Operands: deserialize + upload, or fabricate for cost-only on
         // a GPU lane.  A host lane has no device to charge, so a
         // cost-only request there runs no arithmetic: the model's charge
         // above is its whole cost.
-        const std::size_t arity =
-            is_program ? client_program->num_inputs : op_arity(request.op);
         std::vector<he::Cipher> operands;
-        operands.reserve(arity);
+        operands.reserve(program->num_inputs);
         if (!request.cost_only) {
-            util::require(request.inputs.size() == arity,
+            util::require(request.inputs.size() == program->num_inputs,
                           "input count does not match op");
             for (const auto &bytes : request.inputs) {
                 operands.push_back(
                     backend.upload(wire::load_ciphertext(bytes, *host_)));
             }
         } else if (gpu) {
-            for (std::size_t a = 0; a < arity; ++a) {
+            for (std::size_t a = 0; a < program->num_inputs; ++a) {
                 operands.push_back(gpu->adopt(
                     fabricate(gpu->gpu(), 2, input_level, kScale)));
             }
         }
 
         if (!request.cost_only || gpu) {
-            he::Cipher result;
-            if (request.op == Op::MatmulTile && gpu) {
-                // One output tile of the encrypted matmul: a chain of
-                // fused multiply-accumulates into one accumulator,
-                // strictly ordered on the session's lane (Section IV-E).
-                const core::GpuCiphertext &a = gpu->native(operands[0]);
-                const core::GpuCiphertext &b = gpu->native(operands[1]);
-                core::GpuCiphertext acc = core::allocate_ciphertext(
-                    gpu->gpu(), 3, a.rns, a.scale * b.scale);
-                for (uint64_t t = 0; t < request.matmul_tiles; ++t) {
-                    evaluator->multiply_acc(a, b, acc);
-                }
-                result = gpu->adopt(std::move(acc));
-            } else if (request.op == Op::MatmulTile) {
-                // The GPU's t-fold multiply-accumulate of a*b is the
-                // size-3 product added to itself tiles-1 more times.
-                const he::Cipher product =
-                    backend.multiply(operands[0], operands[1]);
-                result = product;
-                for (uint64_t t = 1; t < request.matmul_tiles; ++t) {
-                    result = backend.add(result, product);
-                }
-            } else {
-                // Everything else is a program: either the client's
-                // circuit or the canonical program of the named routine —
-                // one execution path for fixed-function and arbitrary
-                // requests.
-                he::Program stepped_rotate;
-                const he::Program *program = client_program.get();
-                if (request.op == Op::Rotate && request.rotate_step != 1) {
-                    stepped_rotate = he::rotate_program(request.rotate_step);
-                    program = &stepped_rotate;
-                } else if (!is_program) {
-                    // Fixed-function requests run the routine's canonical
-                    // program as is: compile is the identity on it.
-                    program = &core::routine_program(
-                        static_cast<core::Routine>(request.op));
-                }
-                he::ProgramKeys keys;
-                keys.relin = relin;
-                keys.galois = galois;
-                result = std::move(
-                    he::run_program(*program, backend, operands, keys)
-                        .front());
-            }
-
+            const he::Cipher result = std::move(
+                he::run_program(*program, backend, operands, keys).front());
             if (config_.functional) {
                 // On a GPU lane the download blocks the lane (the
                 // Decrypt-side synchronization of Fig. 2).

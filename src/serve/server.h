@@ -6,13 +6,15 @@
 // chunk-frame streams, reassembled by the shared serve::ChunkAssembler);
 // the server parses them into an admission queue, forms dynamic batches
 // (dispatch when the batch fills or when the admission window expires),
-// deserializes the operand ciphertexts, and runs each request on its
-// session's lane of a GpuEvaluatorPool — so one session's chain stays
-// in-order while distinct sessions overlap across tiles (Section III-D
-// applied per request).  Requests routed to (or falling back to) the host
-// backend run on simulated host lanes with the same placement.  Either
-// way one execution path serves them through he::Backend; only the lane
-// clock and the kernels that touch device memory differ.  Per-session
+// resolves each request to the he::Program it runs (a routine's canonical
+// program, a one-node MultiplyAcc matmul tile, or the client's compiled
+// circuit), deserializes the operand ciphertexts, and interprets the
+// program on the session's lane of a GpuEvaluatorPool — so one session's
+// chain stays in-order while distinct sessions overlap across tiles
+// (Section III-D applied per request).  Requests routed to (or falling
+// back to) the host backend run on simulated host lanes with the same
+// placement.  Either way one execution path serves every request kind
+// through he::Backend; only the lane clock differs.  Per-session
 // evaluation keys live behind a serve::KeyManager: a byte-budgeted LRU
 // cache of expanded keysets over a seed-compressed cold store, so sessions
 // may far outnumber resident keys.  Every response carries
@@ -52,23 +54,10 @@ struct ServerConfig {
     /// Execute kernels and return real results; false = cost-only (the
     /// N = 32K sweep operating point), responses carry no result bytes.
     bool functional = true;
-    /// Compile client circuits on admission (he::ProgramCompiler:
-    /// CSE/DCE, rescale planning, fusion pre-lowering) with a
-    /// per-session compiled-program cache, so a session re-submitting
-    /// the same circuit pays the compile once.  Off = interpret client
-    /// programs exactly as shipped.
-    bool compile_programs = true;
     /// Resident expanded-key budget for the per-session KeyManager
     /// (bytes, must be positive).  Ignored when a shared KeyManager is
     /// injected (the sharded server's configuration wins).
     std::size_t key_budget_bytes = std::size_t{64} << 20;
-    /// Cost-model request routing: a BackendHint::Auto request whose
-    /// estimated cost (canonical node count; matmul tiles; program size
-    /// proxy) is <= this threshold runs on the host backend even when
-    /// the GPU pool is up — small jobs skip the device queues.  0
-    /// (default) disables cost routing.  Explicit per-request hints
-    /// always win.
-    std::size_t host_route_max_cost = 0;
 
     /// Throws ConfigError on any invalid field; called by every server
     /// constructor so an unvalidated config cannot reach the data path.
@@ -90,7 +79,7 @@ struct LatencyStats {
     /// degradation, not failure.
     std::size_t fallbacks = 0;
     /// Requests executed on the host backend for any reason (explicit
-    /// hint, cost routing, or fallback).
+    /// hint or fallback).
     std::size_t host_requests = 0;
     double p50_ms = 0.0;
     double p95_ms = 0.0;
@@ -160,8 +149,9 @@ public:
     /// Response instead of crashing the server.
     void submit(std::span<const uint8_t> request_bytes);
     /// Returns true when the request was enqueued for the next run();
-    /// false when admission rejected it statically (Status::InvalidProgram,
-    /// answered from the next run() without reaching a lane).
+    /// false when admission rejected its shipped program statically
+    /// (Status::InvalidProgram, answered from the next run() without
+    /// reaching a lane).
     bool submit(Request request);
 
     /// Admission from one chunk frame of a streamed request (see
@@ -201,35 +191,41 @@ private:
     /// compile and kernel spans all link to it) and records the
     /// serve.request span over [enqueue, complete] once routing returns.
     Response execute(const Request &request, double dispatch_time);
-    /// Routing: picks the lane kind (hint, cost routing, GPU
-    /// availability) and retries on host when the GPU backend vanished.
+    /// Routing: a Host hint runs on host, anything else on the GPU pool
+    /// when one is up; retries on host when the GPU backend vanished.
     Response execute_routed(const Request &request, double dispatch_time);
-    /// The one request-execution path: keys, program resolution,
-    /// operands, run_program, result, Status mapping and the lane span,
-    /// on the session's GPU pool lane or (`on_host`) its simulated host
-    /// lane.  Per backend only the lane clock (device queue vs the
-    /// synthetic host model) and the device-memory kernels (cost-only
-    /// operands, the fused MatmulTile chain) differ.  A GPU lane throws
-    /// he::BackendUnavailable before any side effect if the "gpu"
-    /// registry entry vanished.
+    /// The one request-execution path, on the session's GPU pool lane or
+    /// (`on_host`) its simulated host lane: keys, resolve(), the
+    /// program's key needs (checked before any operand moves), operands,
+    /// run_program, result, Status mapping and the lane span.  Per
+    /// backend only the lane clock (device queue vs the synthetic host
+    /// model) and cost-only operands (fabricated on a device, skipped on
+    /// host) differ.  A GPU lane throws he::BackendUnavailable before any
+    /// side effect if the "gpu" registry entry vanished.
     Response execute_on(const Request &request, double dispatch_time,
                         bool on_host);
-    /// Cheap routing cost proxy for BackendHint::Auto requests.
-    std::size_t route_cost(const Request &request) const;
-    /// The compiled form of a client program, from the per-session cache
-    /// when the same session already shipped these exact bytes (compiled
-    /// under the same assumed input level).
-    std::shared_ptr<const he::Program> compiled_program(
-        uint64_t session_id, std::span<const uint8_t> bytes,
-        std::size_t input_level);
-    /// Static admission gate for Op::Program requests: analyzes the
-    /// shipped circuit (he::ProgramAnalyzer) against the level the
-    /// server will execute it at.  Returns true to enqueue; on a
-    /// must-fail verdict records a Status::InvalidProgram failure and
-    /// returns false — the request never reaches a lane.  Undecodable
-    /// program bytes admit (execution reproduces the legacy error).
+    /// The he::Program a request runs — the only reader of Request::op,
+    /// rotate_step and matmul_tiles: a routine's static canonical
+    /// program, rotate_program(step) for other steps, a one-node
+    /// MultiplyAcc program for a matmul tile, or the client's circuit
+    /// compiled for `input_level`, from the per-session compile cache
+    /// when the same session already shipped these exact bytes.  Only
+    /// client circuits are analyzed and compiled.
+    std::shared_ptr<const he::Program> resolve(const Request &request,
+                                               std::size_t input_level);
+    /// Static admission gate for shipped program bytes (Op::Program
+    /// requests): analyzes the circuit (he::ProgramAnalyzer, aligned
+    /// mode) at the level the compiler will plan for.  Returns true to
+    /// enqueue; on a must-fail verdict records a Status::InvalidProgram
+    /// failure and returns false — the request never reaches a lane.
+    /// Undecodable program bytes admit (execution reproduces the wire
+    /// error).
     bool admit_program(const Request &request);
+    /// Answers a request that never reached a lane (parse failure,
+    /// overload, static rejection) from the next run().
     void record_failure(uint64_t session_id, Status code, std::string error);
+    /// Failure counters (lifetime and registry) for a failed response.
+    void count_failure(Status code);
 
     const ckks::CkksContext *host_;
     ServerConfig config_;
@@ -244,10 +240,9 @@ private:
     /// lane_count(); all-zero and unused while requests run on the GPU).
     std::vector<double> host_lane_ns_;
     std::shared_ptr<KeyManager> key_manager_;
+    /// Shared tenant keys (set_keys); an empty key set is unregistered.
     ckks::RelinKeys relin_;
     ckks::GaloisKeys galois_;
-    bool has_relin_ = false;
-    bool has_galois_ = false;
 
     /// Compiled client circuits, scoped by session id and keyed by the
     /// shipped program bytes.

@@ -458,6 +458,7 @@ he::Program smallest_program(he::OpCode op, const ckks::Plaintext &plain) {
             out = b.mod_switch_add(b.mod_switch(x), z);
             break;
         case OpCode::AdoptScale: out = b.adopt_scale(x, z); break;
+        case OpCode::MultiplyAcc: out = b.multiply_acc(x, z, 3); break;
     }
     b.output(out);
     return b.build();
@@ -466,7 +467,8 @@ he::Program smallest_program(he::OpCode op, const ckks::Plaintext &plain) {
 /// kOpTable checked against execution: for every op, the strict
 /// analyzer's facts for the output of its smallest program, under the
 /// inputs' exact facts, are point intervals equal (bit for bit) to the
-/// size, level and scale of the Cipher both backends actually return.
+/// size, level and scale of the Cipher both backends actually return, and
+/// a multiply's output sits at multiplicative depth one.
 TEST(HeAnalyze, OpTableFactsMatchExecutionOnBothBackends) {
     AnalyzeRig rig;
     ckks::GaloisKeys galois = rig.galois;
@@ -516,6 +518,11 @@ TEST(HeAnalyze, OpTableFactsMatchExecutionOnBothBackends) {
                       std::bit_cast<uint64_t>(result.scale()));
             EXPECT_EQ(std::bit_cast<uint64_t>(f.scale_hi),
                       std::bit_cast<uint64_t>(result.scale()));
+            if (he::op_info(op).mult()) {
+                // One multiply on the only path: depth one.
+                EXPECT_EQ(f.mult_depth, 1u);
+                EXPECT_EQ(report.mult_depth, 1u);
+            }
         }
     }
 }

@@ -92,6 +92,10 @@ public:
     he::Cipher square(const he::Cipher &a) override {
         return inner_->square(a);
     }
+    he::Cipher multiply_acc(const he::Cipher &a, const he::Cipher &b,
+                            uint32_t tiles) override {
+        return inner_->multiply_acc(a, b, tiles);
+    }
     he::Cipher relinearize(const he::Cipher &a,
                            const ckks::RelinKeys &keys) override {
         return inner_->relinearize(a, keys);
@@ -428,6 +432,46 @@ TEST(HeCompiler, PlannerRoundTripsTheCanonicalAlignmentIdiom) {
 // the routine differential: compile is the identity on the five programs
 // ---------------------------------------------------------------------------
 
+/// A size violation on a unary op's operand is a typed user error from
+/// the planner (std::invalid_argument naming the op's kOpTable
+/// violation), never a self-verify trip (a plain std::logic_error).
+void expect_typed_size_error(const CompilerRig &rig,
+                             const he::Program &program,
+                             const std::string &violation) {
+    try {
+        he::ProgramCompiler(rig.host.context).compile(program);
+        ADD_FAILURE() << "compile accepted a size violation";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(violation), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(HeCompiler, PlannerRejectsSquareOfSizeThreeTyped) {
+    CompilerRig rig;
+    he::ProgramBuilder b(2);
+    b.output(b.square(b.multiply(b.input(0), b.input(1))));
+    expect_typed_size_error(rig, b.build(),
+                            "square expects a size-2 operand");
+}
+
+TEST(HeCompiler, PlannerRejectsRotateOfSizeThreeTyped) {
+    CompilerRig rig;
+    he::ProgramBuilder b(2);
+    b.output(b.rotate(b.multiply(b.input(0), b.input(1)), 1));
+    expect_typed_size_error(rig, b.build(),
+                            "rotate expects a size-2 ciphertext");
+}
+
+TEST(HeCompiler, PlannerRejectsRelinearizeOfSizeTwoTyped) {
+    CompilerRig rig;
+    he::ProgramBuilder b(2);
+    b.output(b.relinearize(
+        b.relinearize(b.multiply(b.input(0), b.input(1)))));
+    expect_typed_size_error(rig, b.build(),
+                            "relinearize expects a size-3 ciphertext");
+}
+
 TEST(HeCompiler, RoutineProgramsCompileToThemselves) {
     CompilerRig rig;
     he::CompilerOptions copts;
@@ -696,6 +740,13 @@ TEST(HeCompiler, StatsReportCircuitShape) {
     EXPECT_EQ(stats.levels_consumed, 1u);
     EXPECT_EQ(stats.fusion_groups, 0u);
     EXPECT_EQ(stats.planned_launches, program.nodes.size());
+
+    // A matmul tile is one multiply, whatever its tile count.
+    const he::ProgramStats tile = he::multiply_acc_program(4).stats();
+    EXPECT_EQ(tile.nodes, 1u);
+    EXPECT_EQ(tile.multiplies, 1u);
+    EXPECT_EQ(tile.depth, 1u);
+    EXPECT_EQ(tile.levels_consumed, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -874,23 +925,16 @@ TEST(HeCompiler, ServerCompileCacheServesRepeatSubmissionsBitExact) {
         wire::load_ciphertext(responses[1].result, rig.host.context),
         "repeat submission");
 
-    // A compile-off server answers the same bytes bit-identically (this
-    // circuit is already in compiled normal form up to the Square
+    // Raw interpretation of the shipped circuit answers the same bytes
+    // (this circuit is already in compiled normal form up to the Square
     // strength reduction, which is itself bit-exact).
-    ServerConfig off;
-    off.compile_programs = false;
-    InferenceServer raw_server(rig.host.context, xgpu::device1(),
-                               core::GpuOptions{}, off);
-    raw_server.set_keys(rig.relin, rig.galois);
-    raw_server.submit(wire::serialize(make_request()));
-    auto raw_responses = raw_server.run();
-    ASSERT_EQ(raw_responses.size(), 1u);
-    ASSERT_TRUE(raw_responses[0].ok) << raw_responses[0].error;
-    EXPECT_EQ(raw_server.program_cache_size(), 0u);
+    he::HostBackend raw(rig.host.context);
+    const he::Cipher raw_inputs[2] = {raw.upload(ct_a), raw.upload(ct_b)};
     expect_bit_identical(
-        wire::load_ciphertext(raw_responses[0].result, rig.host.context),
+        raw.download(
+            he::run_program(circuit, raw, raw_inputs, rig.keys()).front()),
         wire::load_ciphertext(responses[0].result, rig.host.context),
-        "compiled vs raw server");
+        "compiled server vs raw interpretation");
 }
 
 TEST(HeCompiler, StaticallyRejectedProgramsNeverOccupyTheCompileCache) {

@@ -591,7 +591,7 @@ void hash_analysis(Fnv1a &h, const he::AnalysisReport &report) {
 /// Op-substitution mutants: every opcode once, written over a random
 /// node with its operands re-picked to fit the new op's arity and operand
 /// kinds, so the pinned hashes below also cover the ops the generator
-/// never emits (ModSwitchAdd, AdoptScale, Conjugate, ...).
+/// never emits (ModSwitchAdd, AdoptScale, Conjugate, MultiplyAcc, ...).
 std::vector<he::Program> substitute_ops(const he::Program &p,
                                         std::mt19937_64 &rng) {
     std::vector<he::Program> mutants;
@@ -603,7 +603,9 @@ std::vector<he::Program> substitute_ops(const he::Program &p,
         const std::size_t i = rng() % m.nodes.size();
         he::Program::Node &n = m.nodes[i];
         n.op = static_cast<he::OpCode>(code);
-        n.imm = n.op == he::OpCode::Rotate ? 1 : 0;
+        n.imm = n.op == he::OpCode::Rotate        ? 1
+                : n.op == he::OpCode::MultiplyAcc ? 2
+                                                  : 0;
         if (he::op_code_arity(n.op) == 1) {
             n.b = 0;
         } else if (n.op == he::OpCode::AddPlain ||
@@ -706,11 +708,11 @@ TEST(HeCompilerFuzz, PinnedCompileAndAnalysisHashes) {
             hash_analysis(aligned_hash, aligned.analyze(p, mixed));
         }
     }
-    EXPECT_EQ(programs, 4640u);
-    EXPECT_EQ(compile_errors, 250u);
-    EXPECT_EQ(compile_hash.h, 0xa5e79f06dd9beb00ull);
-    EXPECT_EQ(strict_hash.h, 0x72964b35284df9c1ull);
-    EXPECT_EQ(aligned_hash.h, 0x290159ae3ec8c954ull);
+    EXPECT_EQ(programs, 4860u);
+    EXPECT_EQ(compile_errors, 323u);
+    EXPECT_EQ(compile_hash.h, 0x179c424852c4c846ull);
+    EXPECT_EQ(strict_hash.h, 0xae4dd67d9c6e06b6ull);
+    EXPECT_EQ(aligned_hash.h, 0x9ef9cca3b3e81897ull);
 }
 
 }  // namespace

@@ -215,13 +215,31 @@ TEST(HeProgram, ValidationRejectsMalformedPrograms) {
         p.outputs.push_back(2);
         EXPECT_THROW(p.validate(), std::invalid_argument);
     }
-    // Immediate on a non-rotate op.
+    // Immediate on an op that takes none.
     {
         he::Program p;
         p.num_inputs = 1;
         p.nodes.push_back({he::OpCode::Square, 0, 0, 3});
         p.outputs.push_back(1);
         EXPECT_THROW(p.validate(), std::invalid_argument);
+    }
+    // Immediates outside their op's kOpTable range: a rotation step past
+    // 2^20, a MultiplyAcc tile count of 0 or past 2^20.
+    for (const auto &[op, imm] :
+         {std::pair{he::OpCode::Rotate, he::kMaxImmediate + 1},
+          std::pair{he::OpCode::Rotate, -he::kMaxImmediate - 1},
+          std::pair{he::OpCode::MultiplyAcc, 0},
+          std::pair{he::OpCode::MultiplyAcc, -1},
+          std::pair{he::OpCode::MultiplyAcc, he::kMaxImmediate + 1}}) {
+        he::Program p;
+        p.num_inputs = 2;
+        p.nodes.push_back({op, 0, op == he::OpCode::Rotate ? 0u : 1u, imm});
+        p.outputs.push_back(2);
+        EXPECT_THROW(p.validate(), std::invalid_argument)
+            << he::op_code_name(op) << " imm " << imm;
+        p.nodes[0].imm = op == he::OpCode::Rotate ? -he::kMaxImmediate
+                                                  : he::kMaxImmediate;
+        EXPECT_NO_THROW(p.validate()) << he::op_code_name(op);
     }
     // Output naming a constant.
     {
@@ -259,7 +277,7 @@ TEST(HeProgram, InterpreterRequiresKeysAndMatchingInputs) {
 TEST(HeProgram, WireRoundTripPreservesStructureAndResults) {
     ProgramRig rig;
     // A program exercising every field kind: constants, a rotate
-    // immediate, multiple outputs.
+    // immediate, a MultiplyAcc tile count, multiple outputs.
     he::ProgramBuilder builder(2);
     const auto half = builder.constant(
         rig.host.encoder.encode(0.5, kScale));
@@ -268,6 +286,7 @@ TEST(HeProgram, WireRoundTripPreservesStructureAndResults) {
     const auto scaled = builder.multiply_plain(builder.input(0), half);
     builder.output(prod);
     builder.output(builder.rotate(scaled, -2));
+    builder.output(builder.multiply_acc(builder.input(0), builder.input(1), 5));
     const he::Program program = builder.build();
 
     const auto bytes = wire::serialize(program);
@@ -298,8 +317,8 @@ TEST(HeProgram, WireRoundTripPreservesStructureAndResults) {
         backend.upload(rig.host.enc(rig.host.values(12)))};
     const auto original = he::run_program(program, backend, inputs, keys);
     const auto again = he::run_program(reloaded, backend, inputs, keys);
-    ASSERT_EQ(original.size(), 2u);
-    ASSERT_EQ(again.size(), 2u);
+    ASSERT_EQ(original.size(), 3u);
+    ASSERT_EQ(again.size(), 3u);
     for (std::size_t i = 0; i < original.size(); ++i) {
         expect_bit_identical(backend.download(original[i]),
                              backend.download(again[i]), "reloaded output");
@@ -410,6 +429,25 @@ TEST(HeProgram, ServedProgramMatchesFixedFunctionRoutineBitExact) {
         wire::load_ciphertext(program_resp.result, rig.host.context),
         wire::load_ciphertext(fixed_resp.result, rig.host.context),
         "served program vs fixed-function");
+
+    // The matmul tile alias: a MatmulTile request and a client program
+    // holding the one MultiplyAcc node it resolves to answer the same
+    // bytes.
+    Request tile;
+    tile.op = Op::MatmulTile;
+    tile.matmul_tiles = 3;
+    tile.inputs = fixed.inputs;
+    const auto tile_resp = serve_one(tile);
+    ASSERT_TRUE(tile_resp.ok) << tile_resp.error;
+
+    Request acc;
+    acc.op = Op::Program;
+    acc.program = wire::serialize(he::multiply_acc_program(3));
+    acc.inputs = fixed.inputs;
+    const auto acc_resp = serve_one(acc);
+    ASSERT_TRUE(acc_resp.ok) << acc_resp.error;
+    EXPECT_FALSE(tile_resp.result.empty());
+    EXPECT_EQ(acc_resp.result, tile_resp.result);
 }
 
 TEST(HeProgram, ServedClientCircuitBeyondTheFixedRoutines) {

@@ -2,8 +2,8 @@
 // unavailability (he::BackendUnavailable from unknown/disabled/probe-failed
 // /factory-thrown lookups), forced disabling, and the registry-driven
 // conformance sweep: every registered-and-available backend must produce
-// bit-identical ciphertexts on the five IV-C routine programs and on
-// seeded random he::Program DAGs.  The serving fallback half proves the
+// bit-identical ciphertexts on the five IV-C routine programs, the
+// MultiplyAcc matmul tile and seeded random he::Program DAGs.  The serving fallback half proves the
 // stack degrades to host (no request errors, LatencyStats::fallbacks
 // counts) when the GPU backend is disabled — the XEHE_DISABLE_BACKENDS CI
 // lane in miniature, driven through set_disabled().
@@ -302,7 +302,7 @@ TEST(HeRegistry, CreateOrHostDegradesToHost) {
 // Registry-driven conformance: every available backend, bit-identical
 // ---------------------------------------------------------------------------
 
-TEST(HeRegistryConformance, FiveRoutineProgramsBitIdenticalAcrossBackends) {
+TEST(HeRegistryConformance, CanonicalProgramsBitIdenticalAcrossBackends) {
     RegistryRig rig;
     auto bundles = available_backends(rig.env());
     ASSERT_GE(bundles.size(), 1u);  // host at minimum (forced-fallback lane)
@@ -310,16 +310,30 @@ TEST(HeRegistryConformance, FiveRoutineProgramsBitIdenticalAcrossBackends) {
     const ckks::Ciphertext cts[3] = {rig.host.enc(rig.host.values(1)),
                                      rig.host.enc(rig.host.values(2)),
                                      rig.host.enc(rig.host.values(3))};
+    // The five IV-C routines, and the matmul tile at t = 1, 2, 3: the host
+    // backend's multiply plus t-1 adds against the GPU backend's t chained
+    // multiply-accumulate launches.
+    std::vector<std::pair<std::string, const he::Program *>> programs;
     for (const core::Routine r : core::kAllRoutines) {
-        SCOPED_TRACE(core::routine_name(r));
-        const he::Program &program = core::routine_program(r);
+        programs.emplace_back(core::routine_name(r),
+                              &core::routine_program(r));
+    }
+    const he::Program tiles[3] = {he::multiply_acc_program(1),
+                                  he::multiply_acc_program(2),
+                                  he::multiply_acc_program(3)};
+    for (const he::Program &tile : tiles) {
+        programs.emplace_back(
+            "MultiplyAcc t=" + std::to_string(tile.nodes[0].imm), &tile);
+    }
+    for (const auto &[name, program] : programs) {
+        SCOPED_TRACE(name);
         const auto reference =
-            run_on(bundles[0].backend(), program, cts, rig.keys());
+            run_on(bundles[0].backend(), *program, cts, rig.keys());
         ASSERT_EQ(reference.size(), 1u);
         EXPECT_FALSE(reference[0].empty());
         for (std::size_t i = 1; i < bundles.size(); ++i) {
             const auto other =
-                run_on(bundles[i].backend(), program, cts, rig.keys());
+                run_on(bundles[i].backend(), *program, cts, rig.keys());
             ASSERT_EQ(other.size(), reference.size())
                 << bundles[0].name() << " vs " << bundles[i].name();
             EXPECT_EQ(other[0], reference[0])
@@ -363,10 +377,8 @@ TEST(HeRegistryConformance, RandomProgramDagsBitIdenticalAcrossBackends) {
 TEST(HeRegistryFallback, ServerDegradesToHostWithoutRequestErrors) {
     DisabledGuard guard("gpu");
     RegistryRig rig;
-    serve::ServerConfig cfg;
-    cfg.compile_programs = false;  // host path == raw routine program
     serve::InferenceServer server(rig.host.context, xgpu::device1(),
-                                  core::GpuOptions{}, cfg);
+                                  core::GpuOptions{}, serve::ServerConfig{});
     EXPECT_FALSE(server.gpu_pool_active());
     EXPECT_GE(server.lane_count(), 1u);
     server.set_keys(rig.relin, rig.galois);
@@ -506,15 +518,18 @@ TEST(HeRegistryFallback, HostHintRoutesWithoutFallbackCount) {
 TEST(HeRegistryFallback, HostLaneChargesTheSyntheticTimeModel) {
     // The host lane's simulated clock starts at max(lane, dispatch), then
     // adds the key-miss re-staging charge (0.25 ns per expanded key
-    // byte), then 40 us per program node per RNS limb — in that order,
-    // so the doubles reproduce bit for bit.
+    // byte), then 40 us per work unit per RNS limb — in that order, so
+    // the doubles reproduce bit for bit.  A work unit is one program
+    // node, or 2t for a t-tile MultiplyAcc (a matmul tile request).
     constexpr double kNodeNs = 40000.0;
     constexpr double kKeyLoadNsPerByte = 0.25;
+    constexpr uint64_t kTiles = 3;
     RegistryRig rig;
     serve::InferenceServer server(rig.host.context, xgpu::device1(),
                                   core::GpuOptions{}, serve::ServerConfig{});
     server.register_session_keys(7, rig.relin, rig.galois);
     server.register_session_keys(8, rig.relin, rig.galois);
+    server.register_session_keys(9, rig.relin, rig.galois);
 
     serve::Request functional;
     functional.session_id = 7;
@@ -533,8 +548,14 @@ TEST(HeRegistryFallback, HostLaneChargesTheSyntheticTimeModel) {
     cost_only.cost_only = true;
     server.submit(wire::serialize(cost_only));
 
+    serve::Request tile = functional;
+    tile.session_id = 9;
+    tile.op = serve::Op::MatmulTile;
+    tile.matmul_tiles = kTiles;
+    server.submit(wire::serialize(tile));
+
     const auto responses = server.run();
-    ASSERT_EQ(responses.size(), 2u);
+    ASSERT_EQ(responses.size(), 3u);
     const double key_bytes = static_cast<double>(
         serve::expanded_key_bytes(rig.relin, rig.galois));
     const double nodes = static_cast<double>(
@@ -543,45 +564,23 @@ TEST(HeRegistryFallback, HostLaneChargesTheSyntheticTimeModel) {
         static_cast<double>(rig.host.context.max_level() + 1);
     for (const auto &resp : responses) {
         ASSERT_TRUE(resp.ok) << resp.error;
-        // Both requests miss the key cache (first acquire of each
-        // session) and run at the maximum level.
+        // Every request misses the key cache (first acquire of each
+        // session) and runs at the maximum level.
         double clock = resp.dispatch_ns;
         clock += kKeyLoadNsPerByte * key_bytes;
-        clock += kNodeNs * nodes * limbs;
+        clock += kNodeNs *
+                 (resp.session_id == 9 ? static_cast<double>(2 * kTiles)
+                                       : nodes) *
+                 limbs;
         EXPECT_EQ(resp.complete_ns, clock) << "session " << resp.session_id;
         // A cost-only request on a host lane runs no arithmetic and
-        // returns no result bytes; the functional one does.
+        // returns no result bytes; the functional ones do.
         EXPECT_EQ(resp.result.empty(), resp.session_id == 8);
     }
     const auto stats = server.stats();
-    EXPECT_EQ(stats.host_requests, 2u);
+    EXPECT_EQ(stats.host_requests, 3u);
     EXPECT_EQ(stats.fallbacks, 0u);
-    EXPECT_EQ(stats.keys.misses, 2u);
-}
-
-TEST(HeRegistryFallback, AutoCostRoutingSendsSmallJobsToHost) {
-    auto &registry = BackendRegistry::instance();
-    if (!registry.available("gpu")) {
-        GTEST_SKIP() << "gpu backend unavailable; routing needs both";
-    }
-    RegistryRig rig;
-    serve::ServerConfig cfg;
-    cfg.host_route_max_cost = 1u << 20;  // everything is "small"
-    serve::InferenceServer server(rig.host.context, xgpu::device1(),
-                                  core::GpuOptions{}, cfg);
-    ASSERT_TRUE(server.gpu_pool_active());
-    server.set_keys(rig.relin, rig.galois);
-    serve::Request req;
-    req.op = serve::Op::MulLinRS;
-    req.inputs.push_back(wire::serialize(rig.host.enc(rig.host.values(51))));
-    req.inputs.push_back(wire::serialize(rig.host.enc(rig.host.values(52))));
-    server.submit(wire::serialize(req));
-    const auto responses = server.run();
-    ASSERT_EQ(responses.size(), 1u);
-    EXPECT_TRUE(responses[0].ok) << responses[0].error;
-    const auto stats = server.stats();
-    EXPECT_EQ(stats.host_requests, 1u);
-    EXPECT_EQ(stats.fallbacks, 0u);  // routed by choice, not degradation
+    EXPECT_EQ(stats.keys.misses, 3u);
 }
 
 }  // namespace

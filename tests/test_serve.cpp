@@ -158,17 +158,35 @@ TEST(Serve, BadRequestsFailWithoutPoisoningTheServer) {
     const uint64_t one[] = {22};
     server.submit(b.request_bytes(2, Op::SqrLinRS, one));
 
+    // In-process tile counts outside the wire's [1, 2^20] fail typed
+    // instead of running zero tiles or a count wrapped to a small one.
+    for (const uint64_t tiles : {uint64_t{0}, (uint64_t{1} << 32) + 1}) {
+        Request req;
+        req.session_id = 3;
+        req.op = Op::MatmulTile;
+        req.matmul_tiles = tiles;
+        req.inputs.push_back(wire::serialize(b.host.enc(b.host.values(23))));
+        req.inputs.push_back(wire::serialize(b.host.enc(b.host.values(24))));
+        server.submit(std::move(req));
+    }
+
     const auto responses = server.run();
-    ASSERT_EQ(responses.size(), 3u);
+    ASSERT_EQ(responses.size(), 5u);
     EXPECT_FALSE(responses[0].ok);
     EXPECT_FALSE(responses[0].error.empty());
     EXPECT_FALSE(responses[1].ok);
     EXPECT_NE(responses[1].error.find("wire"), std::string::npos);
     EXPECT_TRUE(responses[2].ok) << responses[2].error;
+    for (std::size_t i = 3; i < 5; ++i) {
+        EXPECT_FALSE(responses[i].ok);
+        EXPECT_NE(responses[i].error.find("immediate out of range"),
+                  std::string::npos)
+            << responses[i].error;
+    }
 
     const auto stats = server.stats();
     EXPECT_EQ(stats.requests, 1u);
-    EXPECT_EQ(stats.failed, 2u);
+    EXPECT_EQ(stats.failed, 4u);
 }
 
 TEST(Serve, MissingKeysReportedPerRequest) {
@@ -178,12 +196,27 @@ TEST(Serve, MissingKeysReportedPerRequest) {
     const uint64_t one[] = {31};
     server.submit(b.request_bytes(0, Op::SqrLinRS, one));
     server.submit(b.request_bytes(1, Op::Rotate, one));
+    // A client circuit is held to the same upfront key check: its
+    // program's key needs are read before any operand is uploaded.
+    Request circuit;
+    circuit.session_id = 2;
+    circuit.op = Op::Program;
+    circuit.program = wire::serialize(he::rotate_program(1));
+    circuit.inputs.push_back(wire::serialize(b.host.enc(b.host.values(31))));
+    server.submit(wire::serialize(circuit));
     const auto responses = server.run();
-    ASSERT_EQ(responses.size(), 2u);
-    EXPECT_FALSE(responses[0].ok);
-    EXPECT_NE(responses[0].error.find("relin"), std::string::npos);
-    EXPECT_FALSE(responses[1].ok);
-    EXPECT_NE(responses[1].error.find("galois"), std::string::npos);
+    ASSERT_EQ(responses.size(), 3u);
+    const char *needs[] = {"relin keys not registered",
+                           "galois keys not registered",
+                           "galois keys not registered"};
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+        EXPECT_FALSE(responses[i].ok);
+        EXPECT_NE(responses[i].error.find(needs[i]), std::string::npos)
+            << responses[i].error;
+        // Failed before any side effect: no lane time was charged.
+        EXPECT_EQ(responses[i].dispatch_ns, responses[i].complete_ns)
+            << "request " << i;
+    }
 }
 
 TEST(Serve, DynamicBatchingFormsExpectedBatches) {
